@@ -6,7 +6,9 @@ import repro.exp.{LinkPred, Tables}
 /** Table III — link prediction on the OpenBG-IMG analog (11 baselines).
   * Shape assertions mirror the paper's findings (III-C):
   *  (1) translational models beat the bilinear family;
-  *  (2) TuckER has the best single-modal Hits@K;
+  *  (2) TuckER beats the other bilinear models on Hits yet has the worst
+  *      MR (the paper's TuckER also tops the translational models on
+  *      Hits@K; ours does not, EXPERIMENTS.md deviation 1);
   *  (3) text-based models trade Hits for much better MR;
   *  (4) multimodal fusion helps — RSME best multimodal Hits/MRR.
   */

@@ -4,8 +4,10 @@ import repro.SparkSpec
 import repro.exp.{LinkPred, Tables}
 
 /** Table IV — link prediction on the OpenBG500 / OpenBG500-L analogs.
-  * Shape (paper III-C): TuckER best on OpenBG500; KG-BERT weak Hits but
-  * far better MR; on the large version vanilla TransE leads the pack.
+  * Shape (paper III-C): TuckER beats the bilinear family on OpenBG500
+  * Hits@1 (the paper's is best overall; EXPERIMENTS.md deviation 1);
+  * KG-BERT weak Hits but far better MR; on the large version vanilla
+  * TransE leads the pack.
   */
 class TableIVSpec extends SparkSpec {
   import BenchFixtures._

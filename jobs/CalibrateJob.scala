@@ -17,16 +17,17 @@ object CalibrateJob {
       val Array(k, v) = a.split("=", 2); k -> v
     }.toMap
     val spark = JobSession.spark("openbg-calibrate")
-    lazy val kg = BenchWorld.buildKg(spark, JobSession.cfg(args))._2
+    val synth = JobSession.cfg(args)
+    lazy val kg = BenchWorld.buildKg(spark, synth)._2
     val dataKey = kv.getOrElse("data", "img")
-    val data = DatasetCache.getOrBuild(dataKey) {
-      val cfg = dataKey match {
-        case "img" => BenchWorld.imgConfig
-        case "b500" => BenchWorld.b500Config
-        case "b500L" => BenchWorld.b500LConfig
-      }
+    val benchCfg = dataKey match {
+      case "img" => BenchWorld.imgConfig
+      case "b500" => BenchWorld.b500Config
+      case "b500L" => BenchWorld.b500LConfig
+    }
+    val data = DatasetCache.getOrBuild(synth, benchCfg) {
       Tables.datasetFor(spark, kg,
-        repro.benchmark.BenchmarkBuilder.build(spark, kg, cfg).cache())
+        repro.benchmark.BenchmarkBuilder.build(spark, kg, benchCfg).cache())
     }
     Console.err.println(s"[Calibrate] data=$dataKey nEnt=${data.nEnt} nRel=${data.nRel} " +
       s"nTrain=${data.nTrain} nTest=${data.testH.length}")

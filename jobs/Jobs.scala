@@ -4,15 +4,26 @@ import org.apache.spark.sql.SparkSession
 import repro.exp._
 import repro.synth.SynthConfig
 
-/** Shared spark-submit plumbing for the per-table jobs. */
+/** Shared spark-submit plumbing for the per-table jobs, the test suites
+  * and the benchmark: the one place the SparkSession is configured.
+  */
 object JobSession {
-  def spark(app: String): SparkSession = SparkSession.builder
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-    .appName(app)
-    .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .config("spark.ui.enabled", false)
-    .getOrCreate()
+
+  /** The session: one shuffle partition per core (the construction
+    * dataflow is bound by per-task overhead, not by data), and broadcast
+    * joins off (the 10 MB default raised the construct workload's live
+    * heap from 136 MB to 543 MB).
+    */
+  def spark(app: String): SparkSession = {
+    val s = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(app)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.ui.enabled", false)
+      .getOrCreate()
+    s.conf.set("spark.sql.shuffle.partitions", s.sparkContext.defaultParallelism.toLong)
+    s
+  }
 
   /** Scale from args: "tiny" for smoke runs, default bench. */
   def cfg(args: Array[String]): SynthConfig =
@@ -44,8 +55,9 @@ object BuildBenchmarksJob {
 object LinkPredImgJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("openbg-linkpred-img")
-    lazy val kg = BenchWorld.buildKg(spark, JobSession.cfg(args))._2
-    val data = DatasetCache.getOrBuild("img") {
+    val cfg = JobSession.cfg(args)
+    lazy val kg = BenchWorld.buildKg(spark, cfg)._2
+    val data = DatasetCache.getOrBuild(cfg, BenchWorld.imgConfig) {
       val img = repro.benchmark.BenchmarkBuilder.build(spark, kg, BenchWorld.imgConfig).cache()
       Tables.datasetFor(spark, kg, img)
     }
@@ -60,15 +72,16 @@ object LinkPredImgJob {
 object LinkPred500Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("openbg-linkpred-500")
-    lazy val kg = BenchWorld.buildKg(spark, JobSession.cfg(args))._2
-    val d500 = DatasetCache.getOrBuild("b500") {
+    val cfg = JobSession.cfg(args)
+    lazy val kg = BenchWorld.buildKg(spark, cfg)._2
+    val d500 = DatasetCache.getOrBuild(cfg, BenchWorld.b500Config) {
       val b500 = repro.benchmark.BenchmarkBuilder.build(spark, kg, BenchWorld.b500Config).cache()
       Tables.datasetFor(spark, kg, b500)
     }
     val r500 = LinkPred.run(spark, d500, LinkPred.models500)
     println(Tables.linkPredTable("TABLE IV (left) — OpenBG500 (paper) vs OpenBG500-S (ours)",
       Tables.paper500, r500))
-    val d500L = DatasetCache.getOrBuild("b500L") {
+    val d500L = DatasetCache.getOrBuild(cfg, BenchWorld.b500LConfig) {
       val b500L = repro.benchmark.BenchmarkBuilder.build(spark, kg, BenchWorld.b500LConfig).cache()
       Tables.datasetFor(spark, kg, b500L)
     }

@@ -129,12 +129,14 @@ object BenchmarkBuilder {
       pmod(xxhash64(concat_ws("", col("h"), col("r"), col("t")), lit(cfg.seed + 3)),
         lit(1000000007L)))
     val deg = triples.groupBy("h").agg(count(lit(1)) as "deg")
-    val perHead = Window.partitionBy(col("h")).orderBy(col("u"))
+    // Ties on u are broken by the triple itself, so the held-out set does
+    // not depend on the shuffle layout.
+    val perHead = Window.partitionBy(col("h")).orderBy(col("u"), col("r"), col("t"))
     val cands = withU.join(deg, Seq("h"))
       .filter(col("deg") >= 3)
       .withColumn("rk", row_number.over(perHead))
       .filter(col("rk") === 1)
-      .orderBy(col("u"))
+      .orderBy(col("u"), col("h"), col("r"), col("t"))
       .limit(cfg.nDev + cfg.nTest)
       .cache()
 

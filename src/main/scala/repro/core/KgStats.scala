@@ -32,7 +32,8 @@ object KgStats {
 
   /** Triple counts per relation, with the relation kind. */
   def perRelation(kg: Kg): DataFrame =
-    kg.triples.groupBy("p", "kind").agg(count(lit(1)) as "n").orderBy(desc("n"))
+    kg.triples.groupBy("p", "kind").agg(count(lit(1)) as "n")
+      .orderBy(desc("n"), col("p"), col("kind"))
 
   /** Headline numbers mirroring the top block of Table I. */
   def overall(spark: SparkSession, kg: Kg): DataFrame = {

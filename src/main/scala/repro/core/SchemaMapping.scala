@@ -70,7 +70,7 @@ object SchemaMapping {
 
     // Canonical entities from A: one per (level, full path).
     val dedupA = pathedA.groupBy(col("level"), col("path"))
-      .agg(first(col("label")) as "label")
+      .agg(min(col("label")) as "label")
       // Path relative to level 2 (drop the country component) — the key
       // B rows can actually produce.
       .withColumn("relPath",
@@ -79,7 +79,7 @@ object SchemaMapping {
 
     // B entities that match no A entity at (level, relPath) become new rows.
     val dedupB = pathedB.groupBy(col("level"), col("path"))
-      .agg(first(col("label")) as "label")
+      .agg(min(col("label")) as "label")
     val newFromB = dedupB
       .join(dedupA.select(col("level"), col("relPath") as "path"), Seq("level", "path"),
         "left_anti")
@@ -110,11 +110,14 @@ object SchemaMapping {
 
   /** Canonical brand table from the registry:
     * (id, label, topGroup, logoUrl, aliases), deterministic ids by name rank.
+    * A name registered more than once takes its fields from the record
+    * with the lowest registry number.
     */
   def unifyBrands(spark: SparkSession, registry: DataFrame): DataFrame = {
     val dedup = registry.groupBy(col("name"))
-      .agg(first(col("topGroup")) as "topGroup", first(col("logoUrl")) as "logoUrl",
-        first(col("aliases")) as "aliases")
+      .agg(min_by(struct(col("topGroup"), col("logoUrl"), col("aliases")), col("regNo"))
+        as "rec")
+      .select(col("name"), col("rec.*"))
     val w = Window.orderBy(col("name"))
     dedup.withColumn("rank", row_number.over(w) - 1)
       .select(concat(lit("brand:"), col("rank")) as "id", col("name") as "label",

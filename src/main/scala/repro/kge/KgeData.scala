@@ -15,7 +15,8 @@ import repro.core.Kg
   *
   * @param entIds    index → entity id (position = index)
   * @param relIds    index → relation id
-  * @param trainH/R/T packed train triples
+  * @param trainH/R/T packed train triples, sorted by (h, r, t) index (as
+  *                  are dev and test)
   * @param entText   L2-normalized hashed character-n-gram label features,
   *                  one row per entity (the stand-in text encoder)
   * @param entImage  image feature row per entity or null (single-modal
@@ -87,18 +88,12 @@ object KgeData {
     val entIndex = entIds.zipWithIndex.toMap
     val relIndex = relIds.zipWithIndex.toMap
 
-    def packed(df: org.apache.spark.sql.DataFrame): (Array[Int], Array[Int], Array[Int]) = {
-      val rows = df.select("h", "r", "t").as[(String, String, String)].collect()
-      val n = rows.length
-      val hA = new Array[Int](n); val rA = new Array[Int](n); val tA = new Array[Int](n)
-      var i = 0
-      while (i < n) {
-        val (h, r, t) = rows(i)
-        hA(i) = entIndex(h); rA(i) = relIndex(r); tA(i) = entIndex(t)
-        i += 1
-      }
-      (hA, rA, tA)
-    }
+    // Sorted by (h, r, t) index: collected rows come in shuffle-layout
+    // order, and the Trainer's seeded shuffle starts from this order.
+    def packed(df: org.apache.spark.sql.DataFrame): (Array[Int], Array[Int], Array[Int]) =
+      df.select("h", "r", "t").as[(String, String, String)].collect()
+        .map { case (h, r, t) => (entIndex(h), relIndex(r), entIndex(t)) }
+        .sorted.unzip3
     val (trH, trR, trT) = packed(bench.train)
     val (dvH, dvR, dvT) = packed(bench.dev)
     val (teH, teR, teT) = packed(bench.test)

@@ -1,8 +1,10 @@
 package repro.exp
 
+import org.apache.spark.sql.functions.expr
 import repro.{SparkSpec, TestFixtures}
 import repro.benchmark.{BenchConfig, BenchmarkBuilder}
-import repro.kge.{Evaluator, FreqBaseline, KgeData}
+import repro.core.KgBuilder
+import repro.kge.{Evaluator, FreqBaseline, KgeData, KgeDataset, Trainer}
 
 /** Tests of the experiment layer: dataset collection, the frequency
   * diagnostic baseline, model factory, and table rendering.
@@ -10,9 +12,9 @@ import repro.kge.{Evaluator, FreqBaseline, KgeData}
 class ExpSpec extends SparkSpec {
   lazy val kg = TestFixtures.kg
 
-  lazy val bench = BenchmarkBuilder.build(spark, kg,
-    BenchConfig(name = "exp-tiny", nRelations = 10, alphaHead = 1.0, alphaTail = 0.8,
-      nDev = 30, nTest = 120)).cache()
+  val benchCfg = BenchConfig(name = "exp-tiny", nRelations = 10, alphaHead = 1.0,
+    alphaTail = 0.8, nDev = 30, nTest = 120)
+  lazy val bench = BenchmarkBuilder.build(spark, kg, benchCfg).cache()
   lazy val data = KgeData.fromBenchmark(spark, kg, bench)
 
   test("datasetFor roundtrips ids and splits consistently") {
@@ -46,6 +48,37 @@ class ExpSpec extends SparkSpec {
     data.entIds.zip(data.entImage).foreach { case (id, img) =>
       if (img != null) assert(id.startsWith("prod:"))
     }
+  }
+
+  test("KG, dataset and metrics do not depend on the shuffle partition count") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def run(partitions: Long) = {
+      spark.conf.set(key, partitions)
+      val kg = KgBuilder.build(spark, TestFixtures.sources)
+      val checksum = kg.triples.agg(expr("bit_xor(xxhash64(s, p, o, kind))")).head().getLong(0)
+      val d = KgeData.fromBenchmark(spark, kg, BenchmarkBuilder.build(spark, kg, benchCfg))
+      val (model, cfg) = LinkPred.makeModel("TransE", d)
+      Trainer.train(model, d, cfg.copy(epochs = 10))
+      (checksum, contents(d), Evaluator.evaluate(spark, model, d))
+    }
+    val (one, many) = try (run(1), run(64)) finally spark.conf.set(key, saved)
+    assert(one._1 === many._1, "KG checksum")
+    val differing = one._2.keys.filter(k => one._2(k) != many._2(k))
+    assert(differing.isEmpty, s"KgeDataset fields differ: ${differing.mkString(", ")}")
+    assert(one._3 === many._3, "TransE metrics")
+  }
+
+  /** Every array of a dataset by field name, as comparable values. */
+  private def contents(d: KgeDataset): Map[String, Any] = {
+    var truth = Map.empty[Long, Seq[Int]]
+    d.truth.forEach((k, v) => truth += k -> v.toSeq)
+    Map("entIds" -> d.entIds.toSeq, "relIds" -> d.relIds.toSeq,
+      "trainH" -> d.trainH.toSeq, "trainR" -> d.trainR.toSeq, "trainT" -> d.trainT.toSeq,
+      "devH" -> d.devH.toSeq, "devR" -> d.devR.toSeq, "devT" -> d.devT.toSeq,
+      "testH" -> d.testH.toSeq, "testR" -> d.testR.toSeq, "testT" -> d.testT.toSeq,
+      "entText" -> d.entText.map(_.toSeq).toSeq,
+      "entImage" -> d.entImage.map(Option(_).map(_.toSeq)).toSeq, "truth" -> truth)
   }
 
   test("FreqBaseline beats random ranking substantially") {
