@@ -1,5 +1,8 @@
 package repro.exp
 
+import java.util.concurrent.{Callable, ExecutionException, ExecutorCompletionService, Executors, ThreadFactory}
+import java.util.concurrent.atomic.AtomicInteger
+
 import org.apache.spark.sql.SparkSession
 import repro.kge._
 
@@ -10,6 +13,10 @@ import repro.kge._
   */
 object LinkPred {
 
+  /** One model's test metrics. `trainSeconds` is that model's own training
+    * wall time on its pool thread, including contention with the models
+    * training beside it.
+    */
   final case class ModelRun(model: String, metrics: Evaluator.Metrics,
                             trainSeconds: Double)
 
@@ -51,6 +58,7 @@ object LinkPred {
         (new RsmeLike(d.nEnt, d.nRel, dim, d.entImage), trans)
       case "MKGformer" =>
         (new MkgformerLike(d.nEnt, d.nRel, dim, d.entImage, d.entText), trans)
+      case other => throw new IllegalArgumentException(s"unknown link-prediction model: $other")
     }
   }
 
@@ -62,16 +70,55 @@ object LinkPred {
   /** On -L the paper omits the baselines that do not fit one V100. */
   val models500L: Seq[String] = Seq("TransE", "TransH", "TransD", "DistMult", "ComplEx")
 
+  /** Train and rank every named model, one model per task on a pool of
+    * `min(names.size, cores)` daemon threads, and return the runs in
+    * roster order. Models share only the read-only dataset and each is
+    * deterministic in its own seed, so the metrics equal a sequential run.
+    * The first model to fail cancels the models not yet started, and its
+    * exception is rethrown as is.
+    */
   def run(spark: SparkSession, data: KgeDataset, names: Seq[String],
-          epochScale: Double = 1.0): Seq[ModelRun] =
-    names.map { n =>
-      val (model, cfg0) = makeModel(n, data)
-      val cfg = cfg0.copy(epochs = math.max(1, (cfg0.epochs * epochScale).toInt))
-      val t0 = System.nanoTime()
-      Trainer.train(model, data, cfg)
-      val secs = (System.nanoTime() - t0) / 1e9
-      val m = Evaluator.evaluate(spark, model, data)
-      Console.err.println(f"[LinkPred] ${data.name}%-14s ${m.row(n)}  (${secs}%.1fs)")
-      ModelRun(n, m, secs)
+          epochScale: Double = 1.0): Seq[ModelRun] = {
+    require(data.testH.nonEmpty, s"dataset ${data.name} has no test triples " +
+      s"(train ${data.nTrain}, dev ${data.devH.length}, test ${data.testH.length})")
+    val pool = Executors.newFixedThreadPool(
+      math.min(names.size, Runtime.getRuntime.availableProcessors),
+      daemonThreads(s"LinkPred-${data.name}"))
+    val runs = try {
+      val done = new ExecutorCompletionService[ModelRun](pool)
+      val tasks = names.map(n => done.submit(new Callable[ModelRun] {
+        def call(): ModelRun = trainAndRank(spark, data, n, epochScale)
+      }))
+      // Wait in completion order, so the first failure surfaces at once.
+      try names.foreach(_ => done.take().get())
+      catch {
+        case e: ExecutionException =>
+          tasks.foreach(_.cancel(true))
+          throw e.getCause
+      }
+      tasks.map(_.get())
+    } finally pool.shutdown()
+    runs.foreach(r => Console.err.println(
+      f"[LinkPred] ${data.name}%-14s ${r.metrics.row(r.model)}  (${r.trainSeconds}%.1fs)"))
+    runs
+  }
+
+  private def trainAndRank(spark: SparkSession, data: KgeDataset, name: String,
+                           epochScale: Double): ModelRun = {
+    val (model, cfg0) = makeModel(name, data)
+    val cfg = cfg0.copy(epochs = math.max(1, (cfg0.epochs * epochScale).toInt))
+    val t0 = System.nanoTime()
+    Trainer.train(model, data, cfg)
+    val secs = (System.nanoTime() - t0) / 1e9
+    ModelRun(name, Evaluator.evaluate(spark, model, data), secs)
+  }
+
+  private def daemonThreads(prefix: String): ThreadFactory = {
+    val count = new AtomicInteger()
+    r => {
+      val t = new Thread(r, s"$prefix-${count.incrementAndGet()}")
+      t.setDaemon(true)
+      t
     }
+  }
 }

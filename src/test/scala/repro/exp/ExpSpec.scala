@@ -7,7 +7,8 @@ import repro.core.KgBuilder
 import repro.kge.{Evaluator, FreqBaseline, KgeData, KgeDataset, Trainer}
 
 /** Tests of the experiment layer: dataset collection, the frequency
-  * diagnostic baseline, model factory, and table rendering.
+  * diagnostic baseline, model factory, concurrent training and ranking,
+  * and table rendering.
   */
 class ExpSpec extends SparkSpec {
   lazy val kg = TestFixtures.kg
@@ -95,6 +96,34 @@ class ExpSpec extends SparkSpec {
       assert(cfg.epochs > 0)
       assert(model.nEnt === data.nEnt)
     }
+  }
+
+  test("concurrent LinkPred.run gives the metrics of sequential runs, in roster order") {
+    val names = LinkPred.singleModalImg ++ LinkPred.multiModal ++ Seq("GenKGC")
+    val epochScale = 0.05
+    val runs = LinkPred.run(spark, data, names, epochScale)
+    assert(runs.map(_.model) === names)
+    names.zip(runs).foreach { case (n, run) =>
+      val (model, cfg) = LinkPred.makeModel(n, data)
+      Trainer.train(model, data, cfg.copy(epochs = math.max(1, (cfg.epochs * epochScale).toInt)))
+      assert(run.metrics === Evaluator.evaluate(spark, model, data), n)
+    }
+  }
+
+  test("LinkPred.run rejects an empty test split before it starts a pool") {
+    val empty = data.copy(name = "exp-empty-test", testH = Array.emptyIntArray,
+      testR = Array.emptyIntArray, testT = Array.emptyIntArray)
+    val e = intercept[IllegalArgumentException](LinkPred.run(spark, empty, LinkPred.multiModal))
+    assert(e.getMessage.contains("exp-empty-test"), e.getMessage)
+    assert(e.getMessage.contains(s"train ${data.nTrain}"), e.getMessage)
+    val poolThreads = Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread])
+      .filter(_.getName.startsWith("LinkPred-exp-empty-test"))
+    assert(poolThreads.forall(!_.isAlive), poolThreads.map(_.getName).mkString(", "))
+  }
+
+  test("a failing model's own exception surfaces from LinkPred.run") {
+    val e = intercept[IllegalArgumentException](LinkPred.run(spark, data, Seq("NoSuchModel")))
+    assert(e.getMessage.contains("NoSuchModel"), e.getMessage)
   }
 
   test("link-prediction table renders paper and measured columns") {
