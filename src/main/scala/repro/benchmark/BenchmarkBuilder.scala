@@ -155,7 +155,11 @@ object BenchmarkBuilder {
       .select("h", "r", "t")
     val test = testRaw.join(trainEnts.withColumnRenamed("e", "t"), Seq("t"), "left_semi")
       .select("h", "r", "t")
-    (train, dev, test)
+    // Materialize the splits (eager local checkpoints), then release the
+    // caches they were computed from.
+    val out = (train.localCheckpoint(), dev.localCheckpoint(), test.localCheckpoint())
+    Seq(cands, train, trainEnts).foreach(_.unpersist())
+    out
   }
 
   /** Full extraction pipeline. */
@@ -172,9 +176,7 @@ object BenchmarkBuilder {
     // Materialize the sampled triple set: everything downstream (split,
     // vocabularies, training) reads it repeatedly.
     val triples = sampleTriples(base, rels, heads, cfg).localCheckpoint()
-    val (train0, dev0, test0) = split(spark, triples, cfg)
-    val (train, dev, test) =
-      (train0.localCheckpoint(), dev0.localCheckpoint(), test0.localCheckpoint())
+    val (train, dev, test) = split(spark, triples, cfg)
 
     val entities = triples.select(col("h") as "entity")
       .union(triples.select(col("t") as "entity")).distinct()

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Statistics of the constructed KG — the reproduction of Table I.
@@ -35,22 +35,25 @@ object KgStats {
     kg.triples.groupBy("p", "kind").agg(count(lit(1)) as "n")
       .orderBy(desc("n"), col("p"), col("kind"))
 
-  /** Headline numbers mirroring the top block of Table I. */
+  /** Headline numbers mirroring the top block of Table I: one aggregation
+    * over the nodes and one over the triples.
+    */
   def overall(spark: SparkSession, kg: Kg): DataFrame = {
     import spark.implicits._
-    val nClasses = kg.nodes.filter(col("ntype").isin(ClassTypes: _*)).count()
-    val nConcepts = kg.nodes.filter(col("ntype").isin(ConceptTypes: _*)).count()
-    val nRelTypes = kg.triples.select("p").distinct().count()
-    val nProducts = kg.nodes.filter(col("ntype") === NtProduct).count()
-    val nEntities = kg.nodes.count()
-    val nTriples = kg.triples.count()
+    def countOf(cond: Column): Column = count(when(cond, 1))
+    val n = kg.nodes.agg(
+      countOf(col("ntype").isin(ClassTypes: _*)),
+      countOf(col("ntype").isin(ConceptTypes: _*)),
+      countOf(col("ntype") === NtProduct),
+      count(lit(1))).head()
+    val perP = kg.triples.groupBy("p").agg(count(lit(1))).collect().map(_.getLong(1))
     Seq(
-      ("# core classes", nClasses),
-      ("# core concepts", nConcepts),
-      ("# relation types", nRelTypes),
-      ("# products (instances of categories)", nProducts),
-      ("# entities", nEntities),
-      ("# triples", nTriples),
+      ("# core classes", n.getLong(0)),
+      ("# core concepts", n.getLong(1)),
+      ("# relation types", perP.length.toLong),
+      ("# products (instances of categories)", n.getLong(2)),
+      ("# entities", n.getLong(3)),
+      ("# triples", perP.sum),
     ).toDF("metric", "value")
   }
 }

@@ -39,11 +39,14 @@ object Ontology {
     tops.unionByName(brands)
   }
 
-  /** Brand taxonomy meta triples (brand → its top group → owl:Thing). */
+  /** Brand taxonomy meta triples (brand → its top group → owl:Thing). A
+    * group's edge to owl:Thing repeats once per brand in it; the KG's
+    * triple table is distinct.
+    */
   def brandMeta(brandCatalog: DataFrame): DataFrame = {
     val b = brandCatalog.select(col("id") as "s", lit(SubClassOf) as "p",
       concat(lit("brandtop:"), col("topGroup")) as "o", lit(KindMeta) as "kind")
-    val t = brandCatalog.select(col("topGroup")).distinct()
+    val t = brandCatalog
       .select(concat(lit("brandtop:"), col("topGroup")) as "s",
         lit(SubClassOf) as "p", lit(OwlThing) as "o", lit(KindMeta) as "kind")
     b.unionByName(t)

@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+import scala.jdk.CollectionConverters._
 
 /** Concept quality control along the paper's four commonsense facets
   * (II-C.2): plausibility, typicality, remarkability, salience —
@@ -28,6 +30,14 @@ object QualityControl {
 
   /** Facet table over candidate concept links.
     *
+    * The per-(leaf, concept) link counts and the per-leaf product counts
+    * are Spark aggregations over the links; the facets themselves are
+    * computed on the driver from those small tables (one row per leaf
+    * and concept), with SQL join semantics: a row whose leaf has no
+    * ancestor, or whose ancestor, type or concept is null, drops out. A
+    * sibling group's typicality mass is summed in leaf-id order, so the
+    * table does not depend on the shuffle layout.
+    *
     * @param conceptLinks (productId, ctype, conceptId, support)
     * @param productTypes (productId, leafId) — rdf:type annotations
     * @param leafAncestors (leafId, l2Id) — level-2 ancestor of each leaf
@@ -41,39 +51,56 @@ object QualityControl {
       leafAncestors: DataFrame,
       th: Thresholds = Thresholds()): DataFrame = {
 
-    val leafCounts = productTypes.groupBy("leafId")
-      .agg(countDistinct(col("productId")) as "nLeafProducts")
-
-    val linksWithLeaf = conceptLinks.join(productTypes, Seq("productId"))
-
-    val perLeaf = linksWithLeaf
+    val nLeafProducts: Map[String, Long] = productTypes.groupBy("leafId")
+      .agg(countDistinct(col("productId"))).collect()
+      .collect { case r if !r.isNullAt(0) => r.getString(0) -> r.getLong(1) }.toMap
+    val perLeaf = conceptLinks.join(productTypes, Seq("productId"))
       .groupBy("leafId", "ctype", "conceptId")
-      .agg(countDistinct(col("productId")) as "nLinked", sum(col("support")) as "support")
-      .join(leafCounts, Seq("leafId"))
-      .withColumn("typicality", col("nLinked") / col("nLeafProducts"))
-      .join(leafAncestors, Seq("leafId"))
+      .agg(countDistinct(col("productId")), sum(col("support")))
+      .collect().toSeq
+    val ancestors = leafAncestors.select("leafId", "l2Id").collect().toSeq
+    // Sibling group sizes: leaves with zero links count too, so the mean
+    // below divides by the number of leaves under the ancestor.
+    val nSiblings: Map[String, Long] = ancestors.groupMapReduce(_.getString(1))(_ => 1L)(_ + _)
+    val l2Of: Map[String, Seq[String]] = ancestors.filter(!_.isNullAt(0))
+      .groupMap(_.getString(0))(_.getString(1))
+
+    final case class Stat(leafId: String, ctype: String, conceptId: String, l2Id: String,
+                          support: java.lang.Long, typicality: Double)
+    val stats = for {
+      r <- perLeaf
+      leafId = r.getString(0)
+      if leafId != null && !r.isNullAt(1) && !r.isNullAt(2)
+      n <- nLeafProducts.get(leafId).toSeq
+      l2Id <- l2Of.getOrElse(leafId, Nil)
+      if l2Id != null && nSiblings.contains(l2Id)
+    } yield Stat(leafId, r.getString(1), r.getString(2), l2Id, r.getAs[java.lang.Long](4),
+      r.getLong(3).toDouble / n.toDouble)
 
     // Sibling group statistics: the typicality mass of (concept) across all
-    // leaves of the same L2 ancestor. Leaves with zero links contribute 0,
-    // so the mean divides by the number of leaves under the ancestor.
-    val leavesPerL2 = leafAncestors.groupBy("l2Id").agg(count(lit(1)) as "nSiblings")
-    val groupMass = perLeaf.groupBy("l2Id", "ctype", "conceptId")
-      .agg(sum(col("typicality")) as "typMass")
+    // leaves of the same L2 ancestor.
+    val typMass: Map[(String, String, String), Double] =
+      stats.groupBy(s => (s.l2Id, s.ctype, s.conceptId)).view
+        .mapValues(_.sortBy(_.leafId)(SchemaMapping.sparkStringOrder).map(_.typicality)
+          .reduce(_ + _)).toMap
 
-    perLeaf
-      .join(groupMass, Seq("l2Id", "ctype", "conceptId"))
-      .join(leavesPerL2, Seq("l2Id"))
-      .withColumn("remarkability",
-        when(col("nSiblings") > 1,
-          col("typicality") - (col("typMass") - col("typicality")) / (col("nSiblings") - 1))
-          .otherwise(col("typicality")))
-      .withColumn("plausible",
-        col("support") >= th.minSupport && col("typicality") >= th.tauPlausible)
-      .withColumn("typical", col("typicality") >= th.tauTypical)
-      .withColumn("remarkable", col("remarkability") >= th.tauRemarkable)
-      .withColumn("salient", col("typical") && col("remarkable"))
-      .select("leafId", "ctype", "conceptId", "support", "typicality",
-        "remarkability", "plausible", "typical", "remarkable", "salient")
+    val rows = stats.map { s =>
+      val nSib = nSiblings(s.l2Id)
+      val mass = typMass((s.l2Id, s.ctype, s.conceptId))
+      val remarkability =
+        if (nSib > 1) s.typicality - (mass - s.typicality) / (nSib - 1).toDouble
+        else s.typicality
+      val typical = s.typicality >= th.tauTypical
+      val remarkable = remarkability >= th.tauRemarkable
+      Row(s.leafId, s.ctype, s.conceptId, s.support, s.typicality, remarkability,
+        s.support != null && s.support >= th.minSupport && s.typicality >= th.tauPlausible,
+        typical, remarkable, typical && remarkable)
+    }
+    spark.createDataFrame(rows.asJava, StructType(
+      Seq("leafId", "ctype", "conceptId").map(StructField(_, StringType)) ++ Seq(
+        StructField("support", LongType), StructField("typicality", DoubleType),
+        StructField("remarkability", DoubleType)) ++
+      Seq("plausible", "typical", "remarkable", "salient").map(StructField(_, BooleanType))))
   }
 
   /** Drop product→concept links whose (leaf, concept) pair is implausible

@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, StringType, StructField, StructType}
+import org.apache.spark.unsafe.types.UTF8String
+import scala.jdk.CollectionConverters._
 
 /** Schema-mapping construction of "Place" and "Brand" (paper II-B).
   *
@@ -24,38 +26,61 @@ object SchemaMapping {
     a.select(lit("A") as "src", col("qid") as "srcId", col("nameLabel") as "label",
       col("adminLevel").cast("int") as "level", col("parentQid") as "parentSrcId")
 
-  /** Normalize source B (code, name, levelName, parentCode). */
+  /** Normalize source B (code, name, levelName, parentCode); rows with an
+    * unknown level name drop out.
+    */
   def normalizePlacesB(spark: SparkSession, b: DataFrame): DataFrame = {
-    import spark.implicits._
-    val lvl = LevelOfName.toSeq.toDF("levelName", "level")
-    b.join(lvl, Seq("levelName"))
-      .select(lit("B") as "src", col("code") as "srcId", col("name") as "label",
-        col("level"), col("parentCode") as "parentSrcId")
+    val level = LevelOfName.foldLeft(lit(null).cast("int")) {
+      case (acc, (name, l)) => when(col("levelName") === name, lit(l)).otherwise(acc)
+    }
+    b.select(lit("B") as "src", col("code") as "srcId", col("name") as "label",
+      level as "level", col("parentCode") as "parentSrcId")
+      .filter(col("level").isNotNull)
   }
 
-  /** Attach the full ancestor label path ("root/…/self") to each row by
-    * iterated parent joins (taxonomy depth is bounded by `maxDepth`).
+  /** Attach the ancestor label path ("root/…/self") to each row.
+    *
+    * The walk runs on the driver over the collected rows (place sources
+    * hold about a thousand rows) and follows at most `maxDepth - 1`
+    * parent links, as the bounded parent join it replaces did: a parent
+    * is looked up within the same `src` by `srcId`; a missing or null
+    * parent ends the walk; a parent with a null label adds nothing to
+    * the path but the walk goes on past it; a null own label gives a
+    * null path; an id that occurs twice yields one row per match.
     */
   def withLabelPath(norm: DataFrame, maxDepth: Int = 5): DataFrame = {
-    var cur = norm.select(col("src"), col("srcId"), col("label"), col("level"),
-      col("parentSrcId"), col("label") as "path", col("parentSrcId") as "cursor")
-    val parents = norm.select(col("src") as "p_src", col("srcId") as "p_srcId",
-      col("label") as "p_label", col("parentSrcId") as "p_parent")
-    for (_ <- 1 until maxDepth) {
-      cur = cur
-        .join(parents,
-          cur("src") === parents("p_src") && cur("cursor") === parents("p_srcId"),
-          "left")
-        .select(col("src"), col("srcId"), col("label"), col("level"), col("parentSrcId"),
-          when(col("p_label").isNotNull, concat(col("p_label"), lit("/"), col("path")))
-            .otherwise(col("path")) as "path",
-          col("p_parent") as "cursor")
+    val spark = norm.sparkSession
+    val base = norm.select(col("src"), col("srcId"), col("label"), col("level"),
+      col("parentSrcId"))
+    val rows = base.collect().toSeq
+    val parentsOf: Map[(String, String), Seq[(String, String)]] =
+      rows.filter(r => !r.isNullAt(0) && !r.isNullAt(1))
+        .groupMap(r => (r.getString(0), r.getString(1)))(r => (r.getString(2), r.getString(4)))
+    def walk(src: String, cursor: String, path: String, hops: Int): Seq[String] =
+      if (hops <= 0) Seq(path)
+      else {
+        val parents = Option(cursor).flatMap(c => parentsOf.get((src, c)))
+          .getOrElse(Seq((null, null)))
+        parents.flatMap { case (pLabel, pParent) =>
+          val p = if (pLabel == null) path else if (path == null) null else s"$pLabel/$path"
+          walk(src, pParent, p, hops - 1)
+        }
+      }
+    val pathed = rows.flatMap { r =>
+      walk(r.getString(0), r.getString(4), r.getString(2), maxDepth - 1)
+        .map(p => Row.fromSeq(r.toSeq :+ p))
     }
-    cur.drop("cursor")
+    spark.createDataFrame(pathed.asJava, base.schema.add("path", StringType))
+  }
+
+  /** Spark's string order (UTF-8 bytes, unsigned), nulls first. */
+  private[core] val sparkStringOrder: Ordering[String] = Ordering.fromLessThan { (a, b) =>
+    if (a == null) b != null
+    else b != null && UTF8String.fromString(a).compareTo(UTF8String.fromString(b)) < 0
   }
 
   /** Canonical place table: (id, label, level, parent) with deterministic
-    * ids `place:<level>:<rank>`.
+    * ids `place:<level>:<rank>`, rank by path within the level.
     *
     * Source A is authoritative (covers all levels, full root paths).
     * Source B lacks countries, so its paths are relative to level 2; B
@@ -63,64 +88,78 @@ object SchemaMapping {
     * — the schema-mapping step proper. B rows with no A counterpart are
     * appended as new canonical entities (their country is unknown, so
     * they root at level 2).
+    *
+    * Both catalogs are dimension tables of about a thousand rows, so the
+    * mapping runs on the driver with SQL semantics: nulls group together
+    * and never join, strings compare as Spark compares them.
     */
   def unifyPlaces(spark: SparkSession, placesA: DataFrame, placesB: DataFrame): DataFrame = {
-    val pathedA = withLabelPath(normalizePlacesA(placesA))
-    val pathedB = withLabelPath(normalizePlacesB(spark, placesB))
+    final case class Entity(level: Integer, path: String, label: String, relPath: String)
+    implicit val ord: Ordering[String] = sparkStringOrder
+    // One entity per (level, path), labelled by the smallest label.
+    def dedup(pathed: DataFrame): Seq[(Integer, String, String)] =
+      pathed.select("level", "path", "label").collect().toSeq
+        .groupMap(r => (r.getAs[Integer](0), r.getString(1)))(r => r.getString(2))
+        .toSeq.map { case ((level, path), labels) =>
+          val nonNull = labels.filter(_ != null)
+          (level, path, if (nonNull.isEmpty) null else nonNull.min)
+        }
+    // Path relative to level 2 (drop the country component) — the key B
+    // rows can actually produce.
+    val fromA = dedup(withLabelPath(normalizePlacesA(placesA))).map { case (level, path, label) =>
+      val rel = if (level != null && level == 1 || path == null) path
+        else path.substring(path.indexOf('/') + 1)
+      Entity(level, path, label, rel)
+    }
+    val aKeys = fromA.collect { case e if e.level != null && e.relPath != null =>
+      (e.level, e.relPath) }.toSet
+    // B entities that match no A entity at (level, relPath) become new
+    // rows; their country is unknown, so the B path is already relative.
+    val fromB = dedup(withLabelPath(normalizePlacesB(spark, placesB)))
+      .filterNot { case (level, path, _) =>
+        level != null && path != null && aKeys((level, path)) }
+      .map { case (level, path, label) =>
+        Entity(level, if (path == null) null else s"?/$path", label, path) }
 
-    // Canonical entities from A: one per (level, full path).
-    val dedupA = pathedA.groupBy(col("level"), col("path"))
-      .agg(min(col("label")) as "label")
-      // Path relative to level 2 (drop the country component) — the key
-      // B rows can actually produce.
-      .withColumn("relPath",
-        when(col("level") === 1, col("path"))
-          .otherwise(expr("substring(path, instr(path, '/') + 1)")))
-
-    // B entities that match no A entity at (level, relPath) become new rows.
-    val dedupB = pathedB.groupBy(col("level"), col("path"))
-      .agg(min(col("label")) as "label")
-    val newFromB = dedupB
-      .join(dedupA.select(col("level"), col("relPath") as "path"), Seq("level", "path"),
-        "left_anti")
-      // Unknown country: the B path is already relative to level 2.
-      .withColumn("relPath", col("path"))
-      .withColumn("path", concat(lit("?/"), col("path")))
-
-    val all = dedupA.unionByName(newFromB)
-    val w = Window.partitionBy(col("level")).orderBy(col("path"))
-    val canon = all.withColumn("rank", row_number.over(w) - 1)
-      .withColumn("id", concat(lit("place:"), col("level"), lit(":"), col("rank")))
-      .select(col("id"), col("label"), col("level"), col("path"))
-
-    // Parent path = path minus the trailing "/label" component.
-    val withParentPath = canon.withColumn("parentPath",
-      when(col("path") === col("label"), lit(null))
-        .otherwise(expr("substring(path, 1, length(path) - length(label) - 1)")))
-    val parentSide = canon.select(col("id") as "parentId", col("path") as "pp",
-      col("level") as "plevel")
-    withParentPath
-      .join(parentSide,
-        withParentPath("parentPath") === parentSide("pp") &&
-          parentSide("plevel") === withParentPath("level") - 1,
-        "left")
-      .select(col("id"), col("label"), col("level"),
-        coalesce(col("parentId"), lit("")) as "parent")
+    val canon = (fromA ++ fromB).groupBy(_.level).toSeq.flatMap { case (level, es) =>
+      es.sortBy(_.path).zipWithIndex.map { case (e, rank) =>
+        (if (level == null) null else s"place:$level:$rank", e)
+      }
+    }
+    // Parent = the entity one level up whose path is this path minus its
+    // trailing "/label" component.
+    val idsByPathLevel = canon.collect { case (id, e) if e.path != null && e.level != null =>
+      (e.path, e.level.intValue) -> id }.groupMap(_._1)(_._2)
+    val rows = canon.flatMap { case (id, e) =>
+      val parentPath =
+        if (e.path == null || e.label == null || e.path == e.label) null
+        else e.path.substring(0, math.max(0, e.path.length - e.label.length - 1))
+      val parents =
+        if (parentPath == null || e.level == null) Nil
+        else idsByPathLevel.getOrElse((parentPath, e.level - 1), Nil)
+      (if (parents.isEmpty) Seq("") else parents).map(p => Row(id, e.label, e.level, p))
+    }
+    spark.createDataFrame(rows.asJava, StructType(Seq(
+      StructField("id", StringType), StructField("label", StringType),
+      StructField("level", IntegerType), StructField("parent", StringType))))
   }
 
   /** Canonical brand table from the registry:
     * (id, label, topGroup, logoUrl, aliases), deterministic ids by name rank.
     * A name registered more than once takes its fields from the record
-    * with the lowest registry number.
+    * with the lowest registry number (records without one are skipped).
+    * The registry is a dimension table; the mapping runs on the driver.
     */
   def unifyBrands(spark: SparkSession, registry: DataFrame): DataFrame = {
-    val dedup = registry.groupBy(col("name"))
-      .agg(min_by(struct(col("topGroup"), col("logoUrl"), col("aliases")), col("regNo"))
-        as "rec")
-      .select(col("name"), col("rec.*"))
-    val w = Window.orderBy(col("name"))
-    dedup.withColumn("rank", row_number.over(w) - 1)
-      .select(concat(lit("brand:"), col("rank")) as "id", col("name") as "label",
-        col("topGroup"), col("logoUrl"), col("aliases"))
+    implicit val ord: Ordering[String] = sparkStringOrder
+    val fields = Seq("topGroup", "logoUrl", "aliases")
+    val rows = registry.select(("name" +: "regNo" +: fields).map(col): _*).collect().toSeq
+      .groupBy(_.getString(0)).toSeq.sortBy(_._1).zipWithIndex.map { case ((name, recs), rank) =>
+        val best = recs.filter(!_.isNullAt(1)).sortBy(_.getString(1)).headOption
+        Row.fromSeq(Seq(s"brand:$rank", name) ++ fields.indices.map(i => best.map(_.get(2 + i)).orNull))
+      }
+    spark.createDataFrame(rows.asJava, StructType(
+      Seq(StructField("id", StringType), StructField("label", StringType)) ++
+        registry.select(fields.map(col): _*).schema.fields))
   }
 }

@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LogicalRDD
 import repro.core.{Kg, KgBuilder, RawSources}
 import repro.synth.{BusinessSynth, ProductRecord, SynthConfig, World}
 
@@ -13,6 +15,12 @@ object TestFixtures {
   lazy val sources: RawSources = RawSources.fromWorld(SparkSpec.shared, world)
 
   lazy val kg: Kg = KgBuilder.build(SparkSpec.shared, sources).cache()
+
+  /** Ids of the RDDs a DataFrame reads directly, such as the one its
+    * `localCheckpoint` persisted.
+    */
+  def checkpointRdds(df: DataFrame): Set[Int] =
+    df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.id }.toSet
 
   /** Ground-truth products, collected once. */
   lazy val gtProducts: Seq[ProductRecord] =

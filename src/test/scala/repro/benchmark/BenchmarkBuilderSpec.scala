@@ -67,6 +67,15 @@ class BenchmarkBuilderSpec extends SparkSpec {
       again.test.orderBy("h", "r", "t").collect().toSeq)
   }
 
+  test("split leaves only its three checkpointed splits cached") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val (train, dev, test) = BenchmarkBuilder.split(spark, BenchmarkBuilder.benchmarkableTriples(kg), cfg)
+    Seq(train, dev, test).foreach(_.count())
+    val added = sc.getPersistentRDDs.keySet -- before
+    assert(added === Seq(train, dev, test).flatMap(TestFixtures.checkpointRdds).toSet)
+  }
+
   test("split sizes honour the requested dev/test counts (minus coverage drops)") {
     assert(bench.dev.count() <= cfg.nDev)
     assert(bench.test.count() <= cfg.nTest)

@@ -1,11 +1,60 @@
 package repro.core
 
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
 
 class KgBuilderSpec extends SparkSpec {
   lazy val world = TestFixtures.world
   lazy val kg = TestFixtures.kg
+
+  test("tiny KG checksum and sizes equal the recorded values") {
+    // Recorded from the join-based construction; any change to the
+    // dataflow must keep the KG bit-identical.
+    val checksum = kg.triples.agg(expr("bit_xor(xxhash64(s, p, o, kind))")).head().getLong(0)
+    assert(checksum === 840515028454561693L)
+    assert(kg.nodes.count() === 1191L)
+    assert(kg.triples.count() === 10083L)
+  }
+
+  /** One more build of the tiny KG: its Spark job count and the cached
+    * RDDs it adds.
+    */
+  private lazy val probe = {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val (built, jobs) = JobCounter.count(sc)(KgBuilder.build(spark, TestFixtures.sources))
+    (built, jobs, sc.getPersistentRDDs.keySet -- before)
+  }
+
+  test("one build runs at most 10 % more Spark jobs than recorded") {
+    val (_, jobs, _) = probe
+    // 27 since the parent walks, the QC statistics and the catalogs run on
+    // the driver; with the join walks this build ran 59.
+    val recorded = 27
+    assert(jobs <= recorded * 11 / 10, s"$jobs Spark jobs, recorded $recorded")
+  }
+
+  test("one build leaves only its four checkpointed outputs cached") {
+    val (built, _, added) = probe
+    val outputs = Seq(built.nodes, built.triples, built.images, built.facets)
+    assert(added === outputs.flatMap(TestFixtures.checkpointRdds).toSet)
+    assert(added.size === 4)
+  }
+
+  test("leafAncestors keeps the bounded parent-join semantics") {
+    import spark.implicits._
+    // A root, a chain deeper than the 3-hop walk (e stops at level 3), a
+    // dangling parent id (x) and a null parent (y) that end in null, and a
+    // level-2 node with a dangling parent that maps to itself (z).
+    val tax = Seq[(String, String, Int, String)](
+      ("r", "R", 1, ""), ("a", "A", 2, "r"), ("b", "B", 3, "a"), ("c", "C", 4, "b"),
+      ("d", "D", 5, "c"), ("e", "E", 6, "d"), ("x", "X", 4, "missing"), ("y", "Y", 3, null),
+      ("z", "Z", 2, "missing")).toDF("id", "label", "level", "parent")
+    val got = KgBuilder.leafAncestors(tax).collect().map(r => (r.getString(0), r.getString(1)))
+    assert(got.sorted.toSeq === Seq("a" -> "a", "b" -> "a", "c" -> "a", "d" -> "a", "e" -> "b",
+      "r" -> "r", "x" -> null, "y" -> null, "z" -> "z"))
+  }
 
   test("leafAncestors maps every leaf to its level-2 ancestor") {
     val anc = KgBuilder.leafAncestors(TestFixtures.sources.categoryTaxonomy)

@@ -64,6 +64,33 @@ class SchemaMappingSpec extends SparkSpec {
     assert(path.endsWith(row.getAs[String]("label")))
   }
 
+  test("withLabelPath keeps the bounded parent-join semantics") {
+    import spark.implicits._
+    // Ids are per source (B's "a" is not A's "a"); a chain deeper than
+    // maxDepth loses its root; a dangling parent ends the walk; a null
+    // label nulls its own path but its children walk past it.
+    val norm = Seq[(String, String, String, Int, String)](
+      ("A", "r", "root", 1, null), ("A", "a", "alpha", 2, "r"), ("A", "b", "beta", 3, "a"),
+      ("A", "c", "gamma", 4, "b"), ("A", "d", "delta", 5, "c"), ("A", "e", "eps", 6, "d"),
+      ("A", "x", "dangle", 3, "missing"), ("A", "n", null, 2, "r"), ("A", "m", "em", 3, "n"),
+      ("B", "a", "other", 2, null), ("B", "k", "kid", 3, "a"))
+      .toDF("src", "srcId", "label", "level", "parentSrcId")
+    def paths(maxDepth: Int) = {
+      val df = SchemaMapping.withLabelPath(norm, maxDepth)
+      assert(df.columns.toSeq === Seq("src", "srcId", "label", "level", "parentSrcId", "path"))
+      df.select("src", "srcId", "path").collect()
+        .map(r => (r.getString(0), r.getString(1), r.getString(2))).sorted.toSeq
+    }
+    assert(paths(5) === Seq(("A", "a", "root/alpha"), ("A", "b", "root/alpha/beta"),
+      ("A", "c", "root/alpha/beta/gamma"), ("A", "d", "root/alpha/beta/gamma/delta"),
+      ("A", "e", "alpha/beta/gamma/delta/eps"), ("A", "m", "root/em"), ("A", "n", null),
+      ("A", "r", "root"), ("A", "x", "dangle"), ("B", "a", "other"), ("B", "k", "other/kid")))
+    assert(paths(2) === Seq(("A", "a", "root/alpha"), ("A", "b", "alpha/beta"),
+      ("A", "c", "beta/gamma"), ("A", "d", "gamma/delta"), ("A", "e", "delta/eps"),
+      ("A", "m", "em"), ("A", "n", null), ("A", "r", "root"), ("A", "x", "dangle"),
+      ("B", "a", "other"), ("B", "k", "other/kid")))
+  }
+
   test("unifyBrands dedups by name and mints deterministic ids") {
     val reg = BusinessSynth.externalBrands(spark, world)
     val cat = SchemaMapping.unifyBrands(spark, reg).cache()
