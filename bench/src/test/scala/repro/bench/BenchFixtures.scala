@@ -5,7 +5,7 @@ import repro.SparkSpec
 import repro.benchmark.Benchmark
 import repro.core.Kg
 import repro.exp._
-import repro.kge.KgeDataset
+import repro.kge.{KgeData, KgeDataset}
 import repro.synth.World
 
 /** Shared bench-scale fixtures: one world + KG + benchmark extraction for
@@ -20,9 +20,9 @@ object BenchFixtures {
   def kg: Kg = worldAndKg._2
 
   lazy val benchmarks: (Benchmark, Benchmark, Benchmark) = BenchWorld.buildBenchmarks(spark, kg)
-  lazy val imgData: KgeDataset = Tables.datasetFor(spark, kg, benchmarks._1)
-  lazy val d500: KgeDataset = Tables.datasetFor(spark, kg, benchmarks._2)
-  lazy val d500L: KgeDataset = Tables.datasetFor(spark, kg, benchmarks._3)
+  lazy val imgData: KgeDataset = KgeData.fromBenchmark(spark, kg, benchmarks._1)
+  lazy val d500: KgeDataset = KgeData.fromBenchmark(spark, kg, benchmarks._2)
+  lazy val d500L: KgeDataset = KgeData.fromBenchmark(spark, kg, benchmarks._3)
 
   private val resultsDir = Paths.get("bench-results")
 

@@ -1,7 +1,9 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.benchmark.BenchmarkBuilder
 import repro.exp._
+import repro.kge.KgeData
 import repro.synth.SynthConfig
 
 /** Shared spark-submit plumbing for the per-table jobs, the test suites
@@ -34,8 +36,8 @@ object JobSession {
 object BuildKgJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("openbg-build-kg")
-    val (world, kg) = BenchWorld.buildKg(spark, JobSession.cfg(args))
-    println(Tables.tableI(spark, world, kg))
+    val (_, kg) = BenchWorld.buildKg(spark, JobSession.cfg(args))
+    println(Tables.tableI(spark, kg))
     spark.stop()
   }
 }
@@ -55,12 +57,9 @@ object BuildBenchmarksJob {
 object LinkPredImgJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("openbg-linkpred-img")
-    val cfg = JobSession.cfg(args)
-    lazy val kg = BenchWorld.buildKg(spark, cfg)._2
-    val data = DatasetCache.getOrBuild(cfg, BenchWorld.imgConfig) {
-      val img = repro.benchmark.BenchmarkBuilder.build(spark, kg, BenchWorld.imgConfig).cache()
-      Tables.datasetFor(spark, kg, img)
-    }
+    val (_, kg) = BenchWorld.buildKg(spark, JobSession.cfg(args))
+    val img = BenchmarkBuilder.build(spark, kg, BenchWorld.imgConfig).cache()
+    val data = KgeData.fromBenchmark(spark, kg, img)
     val runs = LinkPred.run(spark, data, LinkPred.singleModalImg ++ LinkPred.multiModal)
     println(Tables.linkPredTable("TABLE III — Link prediction on OpenBG-IMG (paper) vs OpenBG-IMG-S (ours)",
       Tables.paperImg, runs))
@@ -72,20 +71,13 @@ object LinkPredImgJob {
 object LinkPred500Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("openbg-linkpred-500")
-    val cfg = JobSession.cfg(args)
-    lazy val kg = BenchWorld.buildKg(spark, cfg)._2
-    val d500 = DatasetCache.getOrBuild(cfg, BenchWorld.b500Config) {
-      val b500 = repro.benchmark.BenchmarkBuilder.build(spark, kg, BenchWorld.b500Config).cache()
-      Tables.datasetFor(spark, kg, b500)
-    }
-    val r500 = LinkPred.run(spark, d500, LinkPred.models500)
+    val (_, kg) = BenchWorld.buildKg(spark, JobSession.cfg(args))
+    val b500 = BenchmarkBuilder.build(spark, kg, BenchWorld.b500Config).cache()
+    val r500 = LinkPred.run(spark, KgeData.fromBenchmark(spark, kg, b500), LinkPred.models500)
     println(Tables.linkPredTable("TABLE IV (left) — OpenBG500 (paper) vs OpenBG500-S (ours)",
       Tables.paper500, r500))
-    val d500L = DatasetCache.getOrBuild(cfg, BenchWorld.b500LConfig) {
-      val b500L = repro.benchmark.BenchmarkBuilder.build(spark, kg, BenchWorld.b500LConfig).cache()
-      Tables.datasetFor(spark, kg, b500L)
-    }
-    val r500L = LinkPred.run(spark, d500L, LinkPred.models500L)
+    val b500L = BenchmarkBuilder.build(spark, kg, BenchWorld.b500LConfig).cache()
+    val r500L = LinkPred.run(spark, KgeData.fromBenchmark(spark, kg, b500L), LinkPred.models500L)
     println(Tables.linkPredTable("TABLE IV (right) — OpenBG500-L (paper) vs OpenBG500-L-S (ours)",
       Tables.paper500L, r500L))
     spark.stop()

@@ -29,7 +29,7 @@ object SchemaMapping {
   /** Normalize source B (code, name, levelName, parentCode); rows with an
     * unknown level name drop out.
     */
-  def normalizePlacesB(spark: SparkSession, b: DataFrame): DataFrame = {
+  def normalizePlacesB(b: DataFrame): DataFrame = {
     val level = LevelOfName.foldLeft(lit(null).cast("int")) {
       case (acc, (name, l)) => when(col("levelName") === name, lit(l)).otherwise(acc)
     }
@@ -115,7 +115,7 @@ object SchemaMapping {
       (e.level, e.relPath) }.toSet
     // B entities that match no A entity at (level, relPath) become new
     // rows; their country is unknown, so the B path is already relative.
-    val fromB = dedup(withLabelPath(normalizePlacesB(spark, placesB)))
+    val fromB = dedup(withLabelPath(normalizePlacesB(placesB)))
       .filterNot { case (level, path, _) =>
         level != null && path != null && aKeys((level, path)) }
       .map { case (level, path, label) =>

@@ -47,11 +47,11 @@ object LinkPred {
         (new TuckER(d.nEnt, d.nRel, 16, l2 = 1e-5),
           trans.copy(epochs = 300, lr = 0.005, seed = 20L))
       case "KG-BERT" =>
-        (new KgBertLike(d.nEnt, d.nRel, dim, d.entText), text)
+        (new KgBertLike(d.nEnt, d.nRel, d.entText), text)
       case "StAR" =>
         (new StarLike(d.nEnt, d.nRel, dim, d.entText), text.copy(seed = 22L))
       case "GenKGC" =>
-        (new GenKgcLike(d.nEnt, d.nRel, dim, d.entText, beam = 16), text.copy(seed = 23L))
+        (new GenKgcLike(d.nEnt, d.nRel, d.entText, beam = 16), text.copy(seed = 23L))
       case "TransAE" =>
         (new TransAeLike(d.nEnt, d.nRel, dim, d.entImage), trans)
       case "RSME" =>

@@ -1,10 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.benchmark.Benchmark
-import repro.core.{Kg, KgStats, Schema}
-import repro.kge.{Evaluator, KgeData, KgeDataset}
+import repro.core.{Kg, KgStats}
 import repro.synth.World
 import repro.tasks._
 import repro.tasks.PretrainedSim._
@@ -32,7 +30,7 @@ object Tables {
     ("# products (instances of categories)", 3062313L),
     ("# triples", 2603046837L))
 
-  def tableI(spark: SparkSession, world: World, kg: Kg): String = {
+  def tableI(spark: SparkSession, kg: Kg): String = {
     val overall = KgStats.overall(spark, kg).collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
     val perType = KgStats.perTypeLevel(kg).collect()
@@ -263,9 +261,4 @@ object Tables {
     }
     sb.toString
   }
-
-  // ------------------------------------------------------------ dataset build
-
-  def datasetFor(spark: SparkSession, kg: Kg, bench: Benchmark): KgeDataset =
-    KgeData.fromBenchmark(spark, kg, bench)
 }

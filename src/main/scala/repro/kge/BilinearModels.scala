@@ -108,8 +108,7 @@ final class ComplEx(val nEnt: Int, val nRel: Int, val dim: Int,
   * envelope of the shared-core model) at d² per update instead of d³.
   */
 final class TuckER(val nEnt: Int, val nRel: Int, val dim: Int,
-                   val l2: Double = 1e-4, val marginLoss: Boolean = true,
-                   seed: Long = 6L) extends KgeModel {
+                   val l2: Double = 1e-4, seed: Long = 6L) extends KgeModel {
   val name = "TuckER"
   val ent: Array[Array[Float]] = randArray(nEnt, dim, 0.5f, seed)
   /** Core slices M_r, row-major d×d per relation. */
@@ -132,10 +131,9 @@ final class TuckER(val nEnt: Int, val nRel: Int, val dim: Int,
 
   def score(h: Int, r: Int, t: Int): Double = bilin(ent(h), core(r), ent(t))
 
-  private def logStep(h: Int, r: Int, t: Int, y: Double, lr: Double): Double = {
+  /** Raw-gradient step with L2 decay: g = −1 ascends the score, +1 descends. */
+  private def marginStep(h: Int, r: Int, t: Int, g: Double, lr: Double): Unit = {
     val eh = ent(h); val et = ent(t); val m = core(r)
-    val s = bilin(eh, m, et)
-    val g = -y * sigmoid(-y * s)
     // ∂s/∂h_i = Σ_j M_ij t_j ; ∂s/∂t_j = Σ_i h_i M_ij ; ∂s/∂M_ij = h_i t_j
     val gh = new Array[Double](dim); val gt = new Array[Double](dim)
     var i = 0
@@ -158,43 +156,17 @@ final class TuckER(val nEnt: Int, val nRel: Int, val dim: Int,
     }
     // Norm caps play the stabilizing role of TuckER's batch norm.
     normalizeIfLong(eh); normalizeIfLong(et)
-    softplus(-y * s)
   }
 
-  /** Raw-gradient step (g = ∓1): margin-mode ascent/descent. */
-  private def marginStep(h: Int, r: Int, t: Int, g: Double, lr: Double): Unit = {
-    val eh = ent(h); val et = ent(t); val m = core(r)
-    val gh = new Array[Double](dim); val gt = new Array[Double](dim)
-    var i = 0
-    while (i < dim) {
-      val base = i * dim
-      var j = 0
-      while (j < dim) {
-        gh(i) += m(base + j) * et(j)
-        gt(j) += eh(i) * m(base + j)
-        m(base + j) -= (lr * (g * eh(i) * et(j) + l2 * m(base + j))).toFloat
-        j += 1
-      }
-      i += 1
-    }
-    i = 0
-    while (i < dim) {
-      eh(i) -= (lr * (g * gh(i) + l2 * eh(i))).toFloat
-      et(i) -= (lr * (g * gt(i) + l2 * et(i))).toFloat
-      i += 1
-    }
-    normalizeIfLong(eh); normalizeIfLong(et)
+  /** Margin ranking loss, like the translational models. */
+  def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double = {
+    val loss = margin - score(h, r, t) + score(h2, r, t2)
+    if (loss > 0) {
+      marginStep(h, r, t, -1.0, lr)   // ascend positive score
+      marginStep(h2, r, t2, 1.0, lr)  // descend negative score
+      loss
+    } else 0.0
   }
-
-  def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double =
-    if (marginLoss) {
-      val loss = margin - score(h, r, t) + score(h2, r, t2)
-      if (loss > 0) {
-        marginStep(h, r, t, -1.0, lr)   // ascend positive score
-        marginStep(h2, r, t2, 1.0, lr)  // descend negative score
-        loss
-      } else 0.0
-    } else logStep(h, r, t, 1.0, lr) + logStep(h2, r, t2, -1.0, lr)
 
   override def scoreTails(h: Int, r: Int): Array[Double] = {
     val m = core(r)

@@ -42,13 +42,9 @@ object Evaluator {
     model.rankTransform(raw)
   }
 
-  def evaluate(spark: SparkSession, model: KgeModel, data: KgeDataset,
-               split: String = "test"): Metrics = {
-    val (hs, rs, ts) = split match {
-      case "test" => (data.testH, data.testR, data.testT)
-      case "dev"  => (data.devH, data.devR, data.devT)
-    }
-    val triples = hs.indices.map(i => (hs(i), rs(i), ts(i)))
+  /** Metrics of the model on the dataset's test split. */
+  def evaluate(spark: SparkSession, model: KgeModel, data: KgeDataset): Metrics = {
+    val triples = data.testH.indices.map(i => (data.testH(i), data.testR(i), data.testT(i)))
     val bModel = spark.sparkContext.broadcast(model)
     val bData = spark.sparkContext.broadcast(data)
     val ranks = spark.sparkContext

@@ -4,9 +4,10 @@ package repro.kge
   *
   * Contract: `score` is "higher = more plausible". `update` performs one
   * SGD step on a (positive, negative) pair — each model implements its
-  * own loss (margin ranking for translational models, logistic for
-  * bilinear ones) and its own analytic gradients. `scoreTails` scores
-  * every entity as the tail of (h, r) for ranking evaluation.
+  * own loss (margin ranking for the translational models and TuckER,
+  * logistic for DistMult and ComplEx) and its own analytic gradients.
+  * `scoreTails` scores every entity as the tail of (h, r) for ranking
+  * evaluation.
   */
 trait KgeModel extends Serializable {
   def name: String
@@ -53,6 +54,26 @@ object VecOps {
     if (n2 > 1.0) {
       val n = math.sqrt(n2)
       var i = 0; while (i < a.length) { a(i) = (a(i) / n).toFloat; i += 1 }
+    }
+  }
+
+  /** TransE energy of one triple, as a score: −‖h + r − t‖₁. */
+  def l1Score(eh: Array[Float], er: Array[Float], et: Array[Float]): Double = {
+    var s = 0.0; var i = 0
+    while (i < eh.length) { s += math.abs(eh(i) + er(i) - et(i)); i += 1 }
+    -s
+  }
+
+  /** Sign-gradient step on ‖h + r − t‖₁: dir = +1 decreases the energy of
+    * (h, r, t), −1 increases it. The caller renormalizes.
+    */
+  def l1Push(eh: Array[Float], er: Array[Float], et: Array[Float], dir: Float, lr: Double): Unit = {
+    val step = (lr * dir).toFloat
+    var i = 0
+    while (i < eh.length) {
+      val sg = math.signum(eh(i) + er(i) - et(i))
+      eh(i) -= step * sg; er(i) -= step * sg; et(i) += step * sg
+      i += 1
     }
   }
 

@@ -60,18 +60,7 @@ abstract class MultimodalBase(val nEnt: Int, val nRel: Int, val dim: Int,
 
   protected def hasImage(e: Int): Boolean = visEnt(e) != null
 
-  protected def l1(a: Array[Float], b: Array[Float]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += math.abs(a(i) - b(i)); i += 1 }
-    s
-  }
-
-  protected def structScore(h: Int, r: Int, t: Int): Double = {
-    val eh = ent(h); val er = rel(r); val et = ent(t)
-    var s = 0.0; var j = 0
-    while (j < dim) { s += math.abs(eh(j) + er(j) - et(j)); j += 1 }
-    -s
-  }
+  protected def structScore(h: Int, r: Int, t: Int): Double = l1Score(ent(h), rel(r), ent(t))
 
   /** Visual-expert energy: −‖v(h) + r_v − e_t‖₁ (0 for image-less heads —
     * the expert abstains).
@@ -87,16 +76,10 @@ abstract class MultimodalBase(val nEnt: Int, val nRel: Int, val dim: Int,
     }
   }
 
+  /** Unlike TransE's update, each push renormalizes its own h and t. */
   protected def pushStruct(h: Int, r: Int, t: Int, dir: Float, lr: Double): Unit = {
-    val eh = ent(h); val er = rel(r); val et = ent(t)
-    val step = (lr * dir).toFloat
-    var j = 0
-    while (j < dim) {
-      val sg = math.signum(eh(j) + er(j) - et(j))
-      eh(j) -= step * sg; er(j) -= step * sg; et(j) += step * sg
-      j += 1
-    }
-    normalizeIfLong(eh); normalizeIfLong(et)
+    l1Push(ent(h), rel(r), ent(t), dir, lr)
+    normalizeIfLong(ent(h)); normalizeIfLong(ent(t))
   }
 
   /** Visual-expert gradient: r_v and the visual tail table move; v frozen. */

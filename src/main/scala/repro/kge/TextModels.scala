@@ -21,7 +21,7 @@ import VecOps._
   * rankings (good MR), modest exact-hit rates (low Hits@1).
   */
 abstract class TextKgeBase(val nEnt: Int, val nRel: Int,
-                           entText: Array[Array[Float]], seed: Long) extends KgeModel {
+                           entText: Array[Array[Float]]) extends KgeModel {
   protected val f: Int = entText(0).length
 
   /** Per-relation n-gram attention weights. */
@@ -79,8 +79,8 @@ abstract class TextKgeBase(val nEnt: Int, val nRel: Int,
 }
 
 /** KG-BERT substitute: text-only scoring (kernel + tail bias). */
-final class KgBertLike(nEnt: Int, nRel: Int, dim: Int, entText: Array[Array[Float]],
-                       seed: Long = 7L) extends TextKgeBase(nEnt, nRel, entText, seed) {
+class KgBertLike(nEnt: Int, nRel: Int, entText: Array[Array[Float]])
+    extends TextKgeBase(nEnt, nRel, entText) {
   val name = "KG-BERT"
 
   def score(h: Int, r: Int, t: Int): Double = kernelScore(r, h, t) + biasScore(r, t)
@@ -100,32 +100,19 @@ final class KgBertLike(nEnt: Int, nRel: Int, dim: Int, entText: Array[Array[Floa
   */
 final class StarLike(nEnt: Int, nRel: Int, dim: Int, entText: Array[Array[Float]],
                      val structWeight: Double = 0.5, seed: Long = 8L)
-    extends TextKgeBase(nEnt, nRel, entText, seed) {
+    extends TextKgeBase(nEnt, nRel, entText) {
   val name = "StAR"
   val ent: Array[Array[Float]] = randArray(nEnt, dim, 6f / math.sqrt(dim).toFloat, seed + 2)
   val relS: Array[Array[Float]] = randArray(nRel, dim, 6f / math.sqrt(dim).toFloat, seed + 3)
   ent.foreach(normalize); relS.foreach(normalize)
 
-  private def structScore(h: Int, r: Int, t: Int): Double = {
-    val eh = ent(h); val er = relS(r); val et = ent(t)
-    var s = 0.0; var j = 0
-    while (j < eh.length) { s += math.abs(eh(j) + er(j) - et(j)); j += 1 }
-    -s
-  }
-
   def score(h: Int, r: Int, t: Int): Double =
-    kernelScore(r, h, t) + biasScore(r, t) + structWeight * structScore(h, r, t)
+    kernelScore(r, h, t) + biasScore(r, t) + structWeight * l1Score(ent(h), relS(r), ent(t))
 
+  /** Renormalizes its own h and t, as the multimodal structural expert does. */
   private def pushStruct(h: Int, r: Int, t: Int, dir: Float, lr: Double): Unit = {
-    val eh = ent(h); val er = relS(r); val et = ent(t)
-    val step = (lr * dir).toFloat
-    var j = 0
-    while (j < eh.length) {
-      val sg = math.signum(eh(j) + er(j) - et(j))
-      eh(j) -= step * sg; er(j) -= step * sg; et(j) += step * sg
-      j += 1
-    }
-    normalizeIfLong(eh); normalizeIfLong(et)
+    l1Push(ent(h), relS(r), ent(t), dir, lr)
+    normalizeIfLong(ent(h)); normalizeIfLong(ent(t))
   }
 
   def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double = {
@@ -139,25 +126,13 @@ final class StarLike(nEnt: Int, nRel: Int, dim: Int, entText: Array[Array[Float]
   }
 }
 
-/** GenKGC substitute: generative decoding ranks only a beam of
-  * candidates; entities outside the beam share a flat tail rank. The
-  * paper reports Hits@K only for GenKGC — MR/MRR are omitted.
+/** GenKGC substitute: KG-BERT's scorer, but generative decoding ranks
+  * only a beam of candidates; entities outside the beam share a flat tail
+  * rank. The paper reports Hits@K only for GenKGC — MR/MRR are omitted.
   */
-final class GenKgcLike(nEnt: Int, nRel: Int, dim: Int, entText: Array[Array[Float]],
-                       val beam: Int = 16, seed: Long = 9L)
-    extends TextKgeBase(nEnt, nRel, entText, seed) {
-  val name = "GenKGC"
-
-  def score(h: Int, r: Int, t: Int): Double = kernelScore(r, h, t) + biasScore(r, t)
-
-  def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double = {
-    val loss = margin - score(h, r, t) + score(h2, r, t2)
-    if (loss > 0) {
-      pushKernel(r, h, t, 1f, lr); pushKernel(r, h2, t2, -1f, lr)
-      pushBias(r, t, 1f, lr); pushBias(r, t2, -1f, lr)
-      loss
-    } else 0.0
-  }
+final class GenKgcLike(nEnt: Int, nRel: Int, entText: Array[Array[Float]], val beam: Int = 16)
+    extends KgBertLike(nEnt, nRel, entText) {
+  override val name = "GenKGC"
 
   /** Beyond the beam the decoder never generates the entity: flat rank. */
   override def rankTransform(rank: Int): Int =

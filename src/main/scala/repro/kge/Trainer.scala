@@ -7,15 +7,14 @@ final case class TrainConfig(
     margin: Double = 2.0,
     negPerPos: Int = 2,
     seed: Long = 17L,
-    lrDecay: Double = 1.0,
     hardNegFrac: Double = 0.25,
-    tailCorruptFrac: Double = 0.5,
-    verbose: Boolean = false)
+    tailCorruptFrac: Double = 0.5)
 
-/** Mini-batch SGD with uniform negative sampling (corrupt tail or head
-  * with probability 1/2 each, as in the TransE protocol). Deterministic
-  * in the seed; runs on the driver — model state is a few MB, the data
-  * arrays come pre-packed from Spark (KgeData).
+/** SGD with negative sampling: each positive is paired with `negPerPos`
+  * corruptions, each of the tail with probability `tailCorruptFrac` and
+  * of the head otherwise (the link-prediction roster corrupts tails
+  * only). Deterministic in the seed; runs on the driver — model state is
+  * a few MB, the data arrays come pre-packed from Spark (KgeData).
   */
 object Trainer {
 
@@ -40,7 +39,6 @@ object Trainer {
     val tails = tailPool.map(_.toArray)
     val heads = headPool.map(_.toArray)
 
-    var lr = cfg.lr
     var epoch = 0
     while (epoch < cfg.epochs) {
       // Fisher-Yates shuffle, deterministic.
@@ -50,7 +48,6 @@ object Trainer {
         val tmp = order(i); order(i) = order(j); order(j) = tmp
         i -= 1
       }
-      var loss = 0.0
       var k = 0
       while (k < n) {
         val idx = order(k)
@@ -64,22 +61,19 @@ object Trainer {
             var t2 = if (hard && pool.length > 1) pool(rnd.nextInt(pool.length))
                      else rnd.nextInt(data.nEnt)
             if (t2 == t) t2 = rnd.nextInt(data.nEnt)
-            if (t2 != t) loss += model.update(h, r, t, h, t2, lr, cfg.margin)
+            if (t2 != t) model.update(h, r, t, h, t2, cfg.lr, cfg.margin)
           } else {
             // corrupt head
             val pool = heads(r)
             var h2 = if (hard && pool.length > 1) pool(rnd.nextInt(pool.length))
                      else rnd.nextInt(data.nEnt)
             if (h2 == h) h2 = rnd.nextInt(data.nEnt)
-            if (h2 != h) loss += model.update(h, r, t, h2, t, lr, cfg.margin)
+            if (h2 != h) model.update(h, r, t, h2, t, cfg.lr, cfg.margin)
           }
           neg += 1
         }
         k += 1
       }
-      if (cfg.verbose)
-        Console.err.println(f"[Trainer] ${model.name}%-10s epoch $epoch%3d loss ${loss / n}%.4f")
-      lr *= cfg.lrDecay
       epoch += 1
     }
     model

@@ -13,31 +13,14 @@ final class TransE(val nEnt: Int, val nRel: Int, val dim: Int, seed: Long = 1L)
   val rel: Array[Array[Float]] = randArray(nRel, dim, 6f / math.sqrt(dim).toFloat, seed + 1)
   ent.foreach(normalize); rel.foreach(normalize)
 
-  def score(h: Int, r: Int, t: Int): Double = {
-    val eh = ent(h); val er = rel(r); val et = ent(t)
-    var s = 0.0; var i = 0
-    while (i < dim) { s += math.abs(eh(i) + er(i) - et(i)); i += 1 }
-    -s
-  }
+  def score(h: Int, r: Int, t: Int): Double = l1Score(ent(h), rel(r), ent(t))
 
-  /** Gradient step on E(pos) − E(neg) margin; sign gradients of L1. */
-  private def push(h: Int, r: Int, t: Int, dir: Float, lr: Double): Unit = {
-    // dir = +1 decreases the energy of (h,r,t); −1 increases it.
-    val eh = ent(h); val er = rel(r); val et = ent(t)
-    val step = (lr * dir).toFloat
-    var i = 0
-    while (i < dim) {
-      val sg = math.signum(eh(i) + er(i) - et(i))
-      eh(i) -= step * sg; er(i) -= step * sg; et(i) += step * sg
-      i += 1
-    }
-  }
-
+  /** Margin step on E(pos) − E(neg); both pushes before any renormalization. */
   def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double = {
     val loss = margin - score(h, r, t) + score(h2, r, t2)
     if (loss > 0) {
-      push(h, r, t, 1f, lr)
-      push(h2, r, t2, -1f, lr)
+      l1Push(ent(h), rel(r), ent(t), 1f, lr)
+      l1Push(ent(h2), rel(r), ent(t2), -1f, lr)
       normalizeIfLong(ent(h)); normalizeIfLong(ent(t))
       normalizeIfLong(ent(h2)); normalizeIfLong(ent(t2))
       loss
@@ -95,7 +78,6 @@ final class TransH(val nEnt: Int, val nRel: Int, val dim: Int, seed: Long = 2L)
     val sg = new Array[Float](dim)
     var i = 0; while (i < dim) { sg(i) = math.signum(df(i)); i += 1 }
     val ws = dot(wr, sg); val wh = dot(wr, eh); val wt = dot(wr, et)
-    val sh = dot(sg, eh); val st = dot(sg, et)
     val step = (lr * dir).toFloat
     i = 0
     while (i < dim) {

@@ -1,7 +1,6 @@
 package repro.synth
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** A raw (noisy) product record as scraped from the "platform": category
   * annotation is present (products are sampled per leaf node, as in the

@@ -1,6 +1,5 @@
 package repro.kge
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 
 /** Unit tests of the KGE machinery on hand-built toy graphs. */
@@ -155,7 +154,7 @@ class KgeSpec extends SparkSpec {
   }
 
   test("KG-BERT-like model trains and produces smooth scores") {
-    val m = new KgBertLike(toy.nEnt, toy.nRel, 16, toy.entText)
+    val m = new KgBertLike(toy.nEnt, toy.nRel, toy.entText)
     Trainer.train(m, toy, cfg)
     val met = Evaluator.evaluate(spark, m, toy)
     // text of toy entity ids is uninformative → weak Hits, but MR must be
@@ -164,7 +163,7 @@ class KgeSpec extends SparkSpec {
   }
 
   test("StAR-like model beats KG-BERT-like on Hits (structure helps)") {
-    val kb = new KgBertLike(toy.nEnt, toy.nRel, 16, toy.entText, seed = 70L)
+    val kb = new KgBertLike(toy.nEnt, toy.nRel, toy.entText)
     val st = new StarLike(toy.nEnt, toy.nRel, 16, toy.entText, seed = 71L)
     Trainer.train(kb, toy, cfg); Trainer.train(st, toy, cfg)
     val mk = Evaluator.evaluate(spark, kb, toy)
@@ -173,7 +172,7 @@ class KgeSpec extends SparkSpec {
   }
 
   test("GenKGC-like rank transform flattens beyond the beam") {
-    val m = new GenKgcLike(toy.nEnt, toy.nRel, 16, toy.entText, beam = 5)
+    val m = new GenKgcLike(toy.nEnt, toy.nRel, toy.entText, beam = 5)
     assert(m.rankTransform(3) === 3)
     assert(m.rankTransform(6) === toy.nEnt / 2)
   }
