@@ -72,23 +72,35 @@ object LinkPred {
 
   /** Train and rank every named model, one model per task on a pool of
     * `min(names.size, cores)` daemon threads, and return the runs in
-    * roster order. Models share only the read-only dataset and each is
-    * deterministic in its own seed, so the metrics equal a sequential run.
-    * The first model to fail cancels the models not yet started, and its
-    * exception is rethrown as is.
+    * roster order. The models and their configs are built first, on the
+    * calling thread (an unknown name fails before any training), and are
+    * submitted longest first (`longestFirst`), so the longest model does
+    * not start last. Each model trains and ranks on its pool thread; the
+    * pool is the only parallelism (ranking starts no Spark job). Models
+    * share only the read-only dataset and each is deterministic in its own
+    * seed, so the metrics equal a sequential run. The first model to fail
+    * cancels the models not yet started, and its exception is rethrown
+    * as is.
     */
   def run(spark: SparkSession, data: KgeDataset, names: Seq[String],
           epochScale: Double = 1.0): Seq[ModelRun] = {
     require(data.testH.nonEmpty, s"dataset ${data.name} has no test triples " +
       s"(train ${data.nTrain}, dev ${data.devH.length}, test ${data.testH.length})")
+    val built = names.map { n =>
+      val (model, cfg) = makeModel(n, data)
+      (model, cfg.copy(epochs = math.max(1, (cfg.epochs * epochScale).toInt)))
+    }
     val pool = Executors.newFixedThreadPool(
       math.min(names.size, Runtime.getRuntime.availableProcessors),
       daemonThreads(s"LinkPred-${data.name}"))
     val runs = try {
       val done = new ExecutorCompletionService[ModelRun](pool)
-      val tasks = names.map(n => done.submit(new Callable[ModelRun] {
-        def call(): ModelRun = trainAndRank(spark, data, n, epochScale)
-      }))
+      val tasks = longestFirst(built.map(_._2)).map { i =>
+        val (model, cfg) = built(i)
+        i -> done.submit(new Callable[ModelRun] {
+          def call(): ModelRun = trainAndRank(spark, data, names(i), model, cfg)
+        })
+      }.sortBy(_._1).map(_._2)
       // Wait in completion order, so the first failure surfaces at once.
       try names.foreach(_ => done.take().get())
       catch {
@@ -103,10 +115,15 @@ object LinkPred {
     runs
   }
 
+  /** Indices of `cfgs` in decreasing order of the SGD updates each config
+    * asks for (epochs × negatives per positive; the train split is
+    * shared), ties in their given order.
+    */
+  private[exp] def longestFirst(cfgs: Seq[TrainConfig]): Seq[Int] =
+    cfgs.indices.sortBy(i => -cfgs(i).epochs.toLong * cfgs(i).negPerPos)
+
   private def trainAndRank(spark: SparkSession, data: KgeDataset, name: String,
-                           epochScale: Double): ModelRun = {
-    val (model, cfg0) = makeModel(name, data)
-    val cfg = cfg0.copy(epochs = math.max(1, (cfg0.epochs * epochScale).toInt))
+                           model: KgeModel, cfg: TrainConfig): ModelRun = {
     val t0 = System.nanoTime()
     Trainer.train(model, data, cfg)
     val secs = (System.nanoTime() - t0) / 1e9

@@ -3,9 +3,10 @@ package repro.kge
 import org.apache.spark.sql.SparkSession
 
 /** Filtered-ranking link-prediction evaluation (tail prediction, the
-  * paper's (h, r, ?) protocol), distributed with Spark: the model and
-  * the truth sets are broadcast, test triples are ranked in parallel,
-  * and every entity is scored as a candidate tail.
+  * paper's (h, r, ?) protocol): every entity is scored as a candidate
+  * tail of each test triple, on the calling thread. `LinkPred.run`
+  * ranks each model on its own pool thread, so the roster's pool is the
+  * only parallelism on the link-prediction path.
   */
 object Evaluator {
 
@@ -42,18 +43,13 @@ object Evaluator {
     model.rankTransform(raw)
   }
 
-  /** Metrics of the model on the dataset's test split. */
-  def evaluate(spark: SparkSession, model: KgeModel, data: KgeDataset): Metrics = {
-    val triples = data.testH.indices.map(i => (data.testH(i), data.testR(i), data.testT(i)))
-    val bModel = spark.sparkContext.broadcast(model)
-    val bData = spark.sparkContext.broadcast(data)
-    val ranks = spark.sparkContext
-      .parallelize(triples, math.min(64, math.max(1, triples.size / 16)))
-      .map { case (h, r, t) => rankOf(bModel.value, bData.value, h, r, t) }
-      .collect()
-    bModel.destroy(); bData.destroy()
-    fromRanks(ranks)
-  }
+  /** Metrics of the model on the dataset's test split, ranked in test
+    * order. Starts no Spark job (`spark` is unused).
+    */
+  def evaluate(spark: SparkSession, model: KgeModel, data: KgeDataset): Metrics =
+    fromRanks(Array.tabulate(data.testH.length) { i =>
+      rankOf(model, data, data.testH(i), data.testR(i), data.testT(i))
+    })
 
   def fromRanks(ranks: Array[Int]): Metrics = {
     val n = ranks.length.toLong

@@ -10,8 +10,8 @@ import repro.core.Kg
   * Spark builds the benchmark (dictionaries, splits, truth sets, feature
   * matrices); the embedding models then train on dense int arrays — the
   * standard "dataflow prepares, driver optimizes" split for models whose
-  * parameters fit in a few MB. Evaluation goes back through Spark
-  * (ranking every entity for every test triple in parallel).
+  * parameters fit in a few MB. Ranking stays on the driver too: each
+  * model ranks every entity for every test triple on its own thread.
   *
   * @param entIds    index → entity id (position = index)
   * @param relIds    index → relation id
@@ -33,7 +33,7 @@ final case class KgeDataset(
     testH: Array[Int], testR: Array[Int], testT: Array[Int],
     entText: Array[Array[Float]],
     entImage: Array[Array[Float]],
-    truth: java.util.HashMap[Long, Array[Int]]) extends Serializable {
+    truth: java.util.HashMap[Long, Array[Int]]) {
 
   def nEnt: Int = entIds.length
   def nRel: Int = relIds.length

@@ -9,7 +9,7 @@ package repro.kge
   * `scoreTails` scores every entity as the tail of (h, r) for ranking
   * evaluation.
   */
-trait KgeModel extends Serializable {
+trait KgeModel {
   def name: String
   def nEnt: Int
   def nRel: Int

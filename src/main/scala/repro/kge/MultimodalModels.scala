@@ -67,13 +67,7 @@ abstract class MultimodalBase(val nEnt: Int, val nRel: Int, val dim: Int,
     */
   protected def visScore(h: Int, r: Int, t: Int): Double = {
     val v = visEnt(h)
-    if (v == null) 0.0
-    else {
-      val rv = relV(r); val et = visTail(t)
-      var s = 0.0; var j = 0
-      while (j < dim) { s += math.abs(v(j) + rv(j) - et(j)); j += 1 }
-      -s
-    }
+    if (v == null) 0.0 else l1Score(v, relV(r), visTail(t))
   }
 
   /** Unlike TransE's update, each push renormalizes its own h and t. */

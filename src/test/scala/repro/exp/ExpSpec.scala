@@ -1,10 +1,12 @@
 package repro.exp
 
+import org.apache.spark.JobCounter
 import org.apache.spark.sql.functions.expr
 import repro.{SparkSpec, TestFixtures}
 import repro.benchmark.{BenchConfig, BenchmarkBuilder}
 import repro.core.KgBuilder
 import repro.kge.{Evaluator, FreqBaseline, KgeData, KgeDataset, KgeModel, Trainer}
+import repro.kge.Evaluator.Metrics
 
 /** Tests of the experiment layer: dataset collection, the frequency
   * diagnostic baseline, model factory, concurrent training and ranking,
@@ -118,24 +120,67 @@ class ExpSpec extends SparkSpec {
     "MKGformer" -> 3270542122367833544L,
     "GenKGC" -> -8722618640117702449L)
 
+  /** Test metrics of each roster model trained at `epochScale` 0.05,
+    * recorded when ranking still ran as a Spark job per model: ranking on
+    * the calling thread must give them bit for bit.
+    */
+  val pinnedMetrics: Map[String, Metrics] = Map(
+    "TransE" -> Metrics(0.275, 0.525, 0.7916666666666666, 9.691666666666666,
+      0.4448814600924711, 120),
+    "TransH" -> Metrics(0.35833333333333334, 0.6333333333333333, 0.85, 9.008333333333333,
+      0.5211280268309989, 120),
+    "TransD" -> Metrics(0.25, 0.5416666666666666, 0.8583333333333333, 6.933333333333334,
+      0.44082461016034635, 120),
+    "DistMult" -> Metrics(0.06666666666666667, 0.08333333333333333, 0.125, 329.59166666666664,
+      0.08764708804399121, 120),
+    "ComplEx" -> Metrics(0.08333333333333333, 0.15833333333333333, 0.2, 207.66666666666666,
+      0.13372702107493634, 120),
+    "TuckER" -> Metrics(0.20833333333333334, 0.43333333333333335, 0.725, 40.38333333333333,
+      0.37155217883223274, 120),
+    "KG-BERT" -> Metrics(0.24166666666666667, 0.49166666666666664, 0.8833333333333333,
+      5.566666666666666, 0.42339360099776796, 120),
+    "StAR" -> Metrics(0.26666666666666666, 0.44166666666666665, 0.8416666666666667, 6.175,
+      0.4129804360533414, 120),
+    "TransAE" -> Metrics(0.43333333333333335, 0.7, 0.8833333333333333, 4.9,
+      0.5951789867094487, 120),
+    "RSME" -> Metrics(0.3, 0.5833333333333334, 0.8833333333333333, 5.425,
+      0.494641927553473, 120),
+    "MKGformer" -> Metrics(0.4166666666666667, 0.6583333333333333, 0.8916666666666667,
+      4.608333333333333, 0.5716465218380182, 120),
+    "GenKGC" -> Metrics(0.30833333333333335, 0.5, 0.8583333333333333, 26.7,
+      0.459685560440702, 120))
+
   private def scoreHash(model: KgeModel, d: KgeDataset): Long =
     (0 until 5).foldLeft(17L) { (acc, i) =>
       model.scoreTails(d.testH(i), d.testR(i))
         .foldLeft(acc)((a, s) => a * 31 + java.lang.Double.doubleToLongBits(s))
     }
 
+  val roster: Seq[String] = LinkPred.singleModalImg ++ LinkPred.multiModal ++ Seq("GenKGC")
+
   test("concurrent LinkPred.run gives the metrics of sequential runs, in roster order") {
-    val names = LinkPred.singleModalImg ++ LinkPred.multiModal ++ Seq("GenKGC")
     val epochScale = 0.05
-    val runs = LinkPred.run(spark, data, names, epochScale)
-    assert(runs.map(_.model) === names)
-    val hashes = names.zip(runs).map { case (n, run) =>
-      val (model, cfg) = LinkPred.makeModel(n, data)
-      Trainer.train(model, data, cfg.copy(epochs = math.max(1, (cfg.epochs * epochScale).toInt)))
-      assert(run.metrics === Evaluator.evaluate(spark, model, data), n)
-      n -> scoreHash(model, data)
+    val d = data  // collected before counting: collecting starts Spark jobs
+    val (runs, jobs) =
+      JobCounter.count(spark.sparkContext)(LinkPred.run(spark, d, roster, epochScale))
+    assert(jobs === 0, "Spark jobs started by LinkPred.run")
+    assert(runs.map(_.model) === roster)
+    val hashes = roster.zip(runs).map { case (n, run) =>
+      val (model, cfg) = LinkPred.makeModel(n, d)
+      Trainer.train(model, d, cfg.copy(epochs = math.max(1, (cfg.epochs * epochScale).toInt)))
+      assert(run.metrics === Evaluator.evaluate(spark, model, d), n)
+      assert(run.metrics === pinnedMetrics(n), n)
+      n -> scoreHash(model, d)
     }.toMap
     assert(hashes === pinnedScoreHash, "tail scores moved")
+  }
+
+  test("LinkPred.run submits the longest model first and returns roster order") {
+    val order = LinkPred.longestFirst(roster.map(n => LinkPred.makeModel(n, data)._2)).map(roster)
+    assert(order === Seq("TuckER", "TransE", "TransH", "TransD", "TransAE", "RSME", "MKGformer",
+      "KG-BERT", "StAR", "GenKGC", "DistMult", "ComplEx"))
+    val names = Seq("DistMult", "TuckER")
+    assert(LinkPred.run(spark, data, names, epochScale = 0.01).map(_.model) === names)
   }
 
   test("LinkPred.run rejects an empty test split before it starts a pool") {
@@ -152,6 +197,22 @@ class ExpSpec extends SparkSpec {
   test("a failing model's own exception surfaces from LinkPred.run") {
     val e = intercept[IllegalArgumentException](LinkPred.run(spark, data, Seq("NoSuchModel")))
     assert(e.getMessage.contains("NoSuchModel"), e.getMessage)
+  }
+
+  test("a model failing on its pool thread surfaces its own exception, unwrapped") {
+    // A relation index out of range fails inside Trainer.train.
+    val bad = data.copy(name = "exp-bad-train", trainR = data.trainR.map(_ => data.nRel))
+    intercept[ArrayIndexOutOfBoundsException](LinkPred.run(spark, bad, Seq("TransE", "DistMult")))
+  }
+
+  test("an unknown model fails LinkPred.run before any training starts") {
+    val named = data.copy(name = "exp-unknown-model")
+    val e = intercept[IllegalArgumentException](
+      LinkPred.run(spark, named, Seq("TransE", "NoSuchModel")))
+    assert(e.getMessage === "unknown link-prediction model: NoSuchModel")
+    val poolThreads = Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread])
+      .filter(_.getName.startsWith("LinkPred-exp-unknown-model"))
+    assert(poolThreads.isEmpty, poolThreads.map(_.getName).mkString(", "))
   }
 
   test("link-prediction table renders paper and measured columns") {
