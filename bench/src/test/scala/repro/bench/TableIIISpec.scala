@@ -1,7 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{LinkPred, Tables}
+import repro.exp.LinkPred
+import repro.exp.Experiments.tableIII
 
 /** Table III — link prediction on the OpenBG-IMG analog (11 baselines).
   * Shape assertions mirror the paper's findings (III-C):
@@ -15,15 +16,12 @@ import repro.exp.{LinkPred, Tables}
 class TableIIISpec extends SparkSpec {
   import BenchFixtures._
 
-  lazy val runs: Seq[LinkPred.ModelRun] =
-    LinkPred.run(spark, imgData, LinkPred.singleModalImg ++ LinkPred.multiModal)
+  lazy val runs: Seq[LinkPred.ModelRun] = tableIII.compute(inputs)
   lazy val by: Map[String, repro.kge.Evaluator.Metrics] =
     runs.map(r => r.model -> r.metrics).toMap
 
   test("Table III: run all 11 baselines and report vs the paper") {
-    record("tableIII", Tables.linkPredTable(
-      "TABLE III — Link prediction on OpenBG-IMG (paper) vs OpenBG-IMG-S (ours)",
-      Tables.paperImg, runs))
+    record(tableIII, runs)
   }
 
   test("Table III shape: translational models beat bilinear models (MRR)") {

@@ -1,19 +1,18 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Tables
+import repro.exp.Experiments.tableII
 
 /** Table II — benchmark extraction statistics. */
 class TableIISpec extends SparkSpec {
   import BenchFixtures._
+  import BenchFixtures.inputs.{b500, b500L, img}
 
   test("Table II: build the three benchmarks and report stats vs the paper") {
-    val (img, b500, b500L) = benchmarks
-    record("tableII", Tables.tableII(kg, Seq(img, b500, b500L)))
+    record(tableII, tableII.compute(inputs))
   }
 
   test("Table II shape: dataset ordering matches the paper (IMG < 500 < 500-L)") {
-    val (img, b500, b500L) = benchmarks
     val (si, s5, sL) = (img.stats, b500.stats, b500L.stats)
     assert(si._2 < s5._2 && s5._2 < sL._2, "entity counts must be increasing")
     assert(si._4 < s5._4 && s5._4 < sL._4, "train counts must be increasing")
@@ -21,7 +20,7 @@ class TableIISpec extends SparkSpec {
   }
 
   test("Table II shape: OpenBG-IMG has a multimodal entity subset (paper: 14,718 of 27,910)") {
-    val si = benchmarks._1.stats
+    val si = img.stats
     assert(si._7 > 0 && si._7 < si._2)
     assert(si._7.toDouble / si._2 > 0.3)
   }

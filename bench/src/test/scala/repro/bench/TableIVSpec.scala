@@ -1,7 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{LinkPred, Tables}
+import repro.exp.LinkPred
+import repro.exp.Experiments.tableIV
 
 /** Table IV — link prediction on the OpenBG500 / OpenBG500-L analogs.
   * Shape (paper III-C): TuckER beats the bilinear family on OpenBG500
@@ -12,21 +13,14 @@ import repro.exp.{LinkPred, Tables}
 class TableIVSpec extends SparkSpec {
   import BenchFixtures._
 
-  lazy val r500: Seq[LinkPred.ModelRun] = LinkPred.run(spark, d500, LinkPred.models500)
-  lazy val r500L: Seq[LinkPred.ModelRun] =
-    LinkPred.run(spark, d500L, LinkPred.models500L, epochScale = 0.5)
+  lazy val (r500, r500L) = tableIV.compute(inputs)
   lazy val by500: Map[String, repro.kge.Evaluator.Metrics] =
     r500.map(r => r.model -> r.metrics).toMap
   lazy val by500L: Map[String, repro.kge.Evaluator.Metrics] =
     r500L.map(r => r.model -> r.metrics).toMap
 
   test("Table IV: run both datasets and report vs the paper") {
-    val left = Tables.linkPredTable(
-      "TABLE IV (left) — OpenBG500 (paper) vs OpenBG500-S (ours)", Tables.paper500, r500)
-    val right = Tables.linkPredTable(
-      "TABLE IV (right) — OpenBG500-L (paper) vs OpenBG500-L-S (ours)",
-      Tables.paper500L, r500L)
-    record("tableIV", left + "\n" + right)
+    record(tableIV, (r500, r500L))
   }
 
   test("Table IV shape: translational beats bilinear on OpenBG500 (MRR)") {

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Tables
+import repro.exp.Experiments.tableVII
 
 /** Table VII — low-resource (1/5-shot) NER for titles.
   * Shape (paper IV-C): mPLUG-base collapses in 1-shot; the +KG gazetteer
@@ -10,13 +10,11 @@ import repro.exp.Tables
 class TableVIISpec extends SparkSpec {
   import BenchFixtures._
 
-  lazy val rows: Seq[(String, Double, Double)] = Tables.runTableVII(spark, world, kg)
+  lazy val rows: Seq[(String, Double, Double)] = tableVII.compute(inputs)
   lazy val by: Map[String, (Double, Double)] = rows.map(r => r._1 -> (r._2, r._3)).toMap
 
   test("Table VII: run 1/5-shot NER and report vs the paper") {
-    record("tableVII", Tables.lowResourceTable(
-      "TABLE VII — Low-resource NER for titles (F1 x100)",
-      Tables.paperTableVII, rows))
+    record(tableVII, rows)
   }
 
   test("Table VII shape: KG gazetteer rescues mPLUG-base in 1-shot") {

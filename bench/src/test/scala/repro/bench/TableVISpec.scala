@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Tables
+import repro.exp.Experiments.tableVI
 
 /** Table VI — low-resource (1/5-shot) category prediction.
   * Shape (paper IV-B): the scarcer the data, the bigger the KG gain;
@@ -10,13 +10,11 @@ import repro.exp.Tables
 class TableVISpec extends SparkSpec {
   import BenchFixtures._
 
-  lazy val rows: Seq[(String, Double, Double)] = Tables.runTableVI(spark, world, kg)
+  lazy val rows: Seq[(String, Double, Double)] = tableVI.compute(inputs)
   lazy val by: Map[String, (Double, Double)] = rows.map(r => r._1 -> (r._2, r._3)).toMap
 
   test("Table VI: run 1/5-shot category prediction and report vs the paper") {
-    record("tableVI", Tables.lowResourceTable(
-      "TABLE VI — Low-resource category prediction (accuracy x100)",
-      Tables.paperTableVI, rows))
+    record(tableVI, rows)
   }
 
   test("Table VI shape: KG enhancement dominates the 1-shot setting") {

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Tables
+import repro.exp.Experiments.tableV
 
 /** Table V — the five downstream tasks with simulated pre-trained models.
   * Shape (paper IV): KG enhancement helps every task; model capacity
@@ -10,10 +10,10 @@ import repro.exp.Tables
 class TableVSpec extends SparkSpec {
   import BenchFixtures._
 
-  lazy val res: Tables.TaskSuiteResult = Tables.runTableV(spark, world, kg)
+  lazy val res = tableV.compute(inputs)
 
   test("Table V: run all reported cells and report vs the paper") {
-    record("tableV", Tables.tableV(res))
+    record(tableV, res)
   }
 
   test("Table V shape: KG enhancement helps category prediction") {

@@ -1,12 +1,12 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.benchmark.{BenchConfig, Benchmark, BenchmarkBuilder}
+import repro.benchmark.BenchConfig
 import repro.core.{Kg, KgBuilder, RawSources}
 import repro.synth.{SynthConfig, World}
 
-/** Bench-scale world, KG, and the three OpenBG benchmark extractions
-  * (our scaled OpenBG-IMG / OpenBG500 / OpenBG500-L).
+/** Bench-scale world and KG, and the configs of the three OpenBG
+  * benchmark extractions (our scaled OpenBG-IMG / OpenBG500 / OpenBG500-L).
   */
 object BenchWorld {
 
@@ -34,9 +34,4 @@ object BenchWorld {
     name = "OpenBG500-L-S", nRelations = 60, headRelFraction = 0.3,
     alphaHead = 1.0, alphaTail = 0.9, alphaTriples = 1.0,
     nDev = 1000, nTest = 1500, requireImage = false, seed = 103L)
-
-  def buildBenchmarks(spark: SparkSession, kg: Kg): (Benchmark, Benchmark, Benchmark) = (
-    BenchmarkBuilder.build(spark, kg, imgConfig).cache(),
-    BenchmarkBuilder.build(spark, kg, b500Config).cache(),
-    BenchmarkBuilder.build(spark, kg, b500LConfig).cache())
 }

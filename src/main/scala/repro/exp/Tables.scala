@@ -8,8 +8,8 @@ import repro.tasks._
 import repro.tasks.PretrainedSim._
 
 /** Table generators: each returns the rendered "paper vs measured" text
-  * block recorded in EXPERIMENTS.md. Shared by the bench suites and the
-  * spark-submit jobs.
+  * block recorded in EXPERIMENTS.md. `Experiments` wires each to its
+  * inputs and title for `TableJob` and the bench suites.
   */
 object Tables {
 

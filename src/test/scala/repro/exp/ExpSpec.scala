@@ -5,12 +5,14 @@ import org.apache.spark.sql.functions.expr
 import repro.{SparkSpec, TestFixtures}
 import repro.benchmark.{BenchConfig, BenchmarkBuilder}
 import repro.core.KgBuilder
+import repro.jobs.TableJob
 import repro.kge.{Evaluator, FreqBaseline, KgeData, KgeDataset, KgeModel, Trainer}
 import repro.kge.Evaluator.Metrics
+import repro.synth.SynthConfig
 
 /** Tests of the experiment layer: dataset collection, the frequency
   * diagnostic baseline, model factory, concurrent training and ranking,
-  * and table rendering.
+  * table rendering, and the table registry with its job's arguments.
   */
 class ExpSpec extends SparkSpec {
   lazy val kg = TestFixtures.kg
@@ -243,5 +245,26 @@ class ExpSpec extends SparkSpec {
     val t = Tables.tableII(kg, Seq(bench))
     assert(t.contains("paper:OpenBG-IMG"))
     assert(t.contains("ours:exp-tiny"))
+  }
+
+  test("the registry holds Tables I to VII in paper order") {
+    assert(Experiments.tables.map(_.name) ===
+      Seq("tableI", "tableII", "tableIII", "tableIV", "tableV", "tableVI", "tableVII"))
+  }
+
+  test("TableJob takes table names and --tiny, and rejects anything else with its usage") {
+    assert(TableJob.parse(Seq("tableVI", "tableVII", "--tiny")) ===
+      Right((Seq(Experiments.tableVI, Experiments.tableVII), SynthConfig.tiny)))
+    assert(TableJob.parse(Seq("tableI")).map(_._2) === Right(SynthConfig.bench))
+    Seq(Seq("tableVIII"), Seq("tableI", "--tinny"), Seq(), Seq("--tiny")).foreach { bad =>
+      val error = TableJob.parse(bad).swap.getOrElse(fail(s"accepted ${bad.mkString(" ")}"))
+      assert(error.contains("tables: tableI tableII tableIII tableIV tableV tableVI tableVII"), error)
+    }
+  }
+
+  test("Table I through the registry's lazy inputs equals Tables.tableI") {
+    val in = new Experiments.Inputs(spark, (TestFixtures.world, kg))
+    new Experiments.Inputs(spark, fail("inputs built before first use"))
+    assert(Experiments.tableI.text(in) === Tables.tableI(spark, kg))
   }
 }
