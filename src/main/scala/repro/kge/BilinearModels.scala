@@ -131,21 +131,27 @@ final class TuckER(val nEnt: Int, val nRel: Int, val dim: Int,
 
   def score(h: Int, r: Int, t: Int): Double = bilin(ent(h), core(r), ent(t))
 
+  /** Gradient accumulators of the last step, reused across steps. */
+  private val gh = new Array[Double](dim)
+  private val gt = new Array[Double](dim)
+
   /** Raw-gradient step with L2 decay: g = −1 ascends the score, +1 descends. */
   private def marginStep(h: Int, r: Int, t: Int, g: Double, lr: Double): Unit = {
     val eh = ent(h); val et = ent(t); val m = core(r)
     // ∂s/∂h_i = Σ_j M_ij t_j ; ∂s/∂t_j = Σ_i h_i M_ij ; ∂s/∂M_ij = h_i t_j
-    val gh = new Array[Double](dim); val gt = new Array[Double](dim)
+    java.util.Arrays.fill(gt, 0.0)
     var i = 0
     while (i < dim) {
       val base = i * dim
+      var ghi = 0.0
       var j = 0
       while (j < dim) {
-        gh(i) += m(base + j) * et(j)
+        ghi += m(base + j) * et(j)
         gt(j) += eh(i) * m(base + j)
         m(base + j) -= (lr * (g * eh(i) * et(j) + l2 * m(base + j))).toFloat
         j += 1
       }
+      gh(i) = ghi
       i += 1
     }
     i = 0

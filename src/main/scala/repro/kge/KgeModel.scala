@@ -7,7 +7,13 @@ package repro.kge
   * own loss (margin ranking for the translational models and TuckER,
   * logistic for DistMult and ComplEx) and its own analytic gradients.
   * `scoreTails` scores every entity as the tail of (h, r) for ranking
-  * evaluation.
+  * evaluation. The batched overrides hoist the per-query terms and return
+  * `score(h, r, t)` bit for bit, except TuckER's, which sums in another
+  * order; the text models also demote the head itself.
+  *
+  * One instance is used by one thread at a time: `LinkPred.run` trains
+  * and then ranks each model on a single pool thread. Models may keep
+  * per-instance scratch buffers for their update steps.
   */
 trait KgeModel {
   def name: String
@@ -75,6 +81,20 @@ object VecOps {
       eh(i) -= step * sg; er(i) -= step * sg; et(i) += step * sg
       i += 1
     }
+  }
+
+  /** Positions of a's nonzero entries, ascending. A kernel Σ_i w_i a_i b_i
+    * over finite rows may sum over these only: each skipped term is ±0, a
+    * sum that starts at +0 never reaches −0, and adding ±0 to any other
+    * value leaves it as it was.
+    */
+  def nonzeros(a: Array[Float]): Array[Int] = a.indices.filter(a(_) != 0f).toArray
+
+  /** Σ_i w_i a_i b_i over `nz = nonzeros(a)`, ascending: the dense sum's value. */
+  def sparseKernel(w: Array[Float], a: Array[Float], b: Array[Float], nz: Array[Int]): Double = {
+    var s = 0.0; var k = 0
+    while (k < nz.length) { val i = nz(k); s += w(i) * a(i) * b(i); k += 1 }
+    s
   }
 
   def sigmoid(x: Double): Double = 1.0 / (1.0 + math.exp(-x))

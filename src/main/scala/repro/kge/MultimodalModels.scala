@@ -92,21 +92,69 @@ abstract class MultimodalBase(val nEnt: Int, val nRel: Int, val dim: Int,
     }
   }
 
-  /** Independent per-expert margin training: the structural expert trains
-    * exactly like TransE; the visual expert trains on its own margin
-    * violations (only when the head is multimodal).
+  /** The model's score from the two experts' scores of (h, r, t). */
+  protected def fuse(h: Int, r: Int, t: Int, struct: Double, vis: Double): Double
+
+  final def score(h: Int, r: Int, t: Int): Double =
+    fuse(h, r, t, structScore(h, r, t), visScore(h, r, t))
+
+  /** All tails at once: the queries h + r and v(h) + r_v are the float
+    * sums `l1Score` forms per coordinate, so each entry equals
+    * `score(h, r, t)` bit for bit.
     */
-  protected def expertUpdate(h: Int, r: Int, t: Int, h2: Int, t2: Int,
-                             lr: Double, margin: Double): Double = {
+  override def scoreTails(h: Int, r: Int): Array[Double] = {
+    val eh = ent(h); val er = rel(r); val v = visEnt(h); val rv = relV(r)
+    val q = new Array[Float](dim)
+    val qv = if (v == null) null else new Array[Float](dim)
+    var i = 0
+    while (i < dim) {
+      q(i) = eh(i) + er(i)
+      if (qv != null) qv(i) = v(i) + rv(i)
+      i += 1
+    }
+    val out = new Array[Double](nEnt)
+    var t = 0
+    while (t < nEnt) {
+      val et = ent(t)
+      var s = 0.0; i = 0
+      while (i < dim) { s += math.abs(q(i) - et(i)); i += 1 }
+      var sv = 0.0
+      if (qv != null) {
+        val vt = visTail(t)
+        i = 0
+        while (i < dim) { sv += math.abs(qv(i) - vt(i)); i += 1 }
+        sv = -sv
+      }
+      out(t) = fuse(h, r, t, -s, sv)
+      t += 1
+    }
+    out
+  }
+
+  /** Independent per-expert margin training on the experts' scores of the
+    * positive (s, v) and the negative (s2, v2): the structural expert
+    * trains exactly like TransE; the visual expert trains on its own
+    * margin violations (only when the head is multimodal). The structural
+    * push leaves what the visual expert reads unchanged.
+    */
+  protected def expertUpdate(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double,
+                             margin: Double, s: Double, s2: Double,
+                             v: Double, v2: Double): Double = {
     var loss = 0.0
-    val ls = margin - structScore(h, r, t) + structScore(h2, r, t2)
+    val ls = margin - s + s2
     if (ls > 0) { pushStruct(h, r, t, 1f, lr); pushStruct(h2, r, t2, -1f, lr); loss += ls }
     if (hasImage(h)) {
-      val lv = margin - visScore(h, r, t) + visScore(h2, r, t2)
+      val lv = margin - v + v2
       if (lv > 0) { pushVis(h, r, t, 1f, lr); pushVis(h2, r, t2, -1f, lr); loss += lv }
     }
     loss
   }
+
+  /** Scores each expert once on the positive and the negative, then trains both. */
+  protected def expertUpdate(h: Int, r: Int, t: Int, h2: Int, t2: Int,
+                             lr: Double, margin: Double): Double =
+    expertUpdate(h, r, t, h2, t2, lr, margin, structScore(h, r, t), structScore(h2, r, t2),
+      visScore(h, r, t), visScore(h2, r, t2))
 }
 
 /** TransAE substitute: fixed-weight combination of the structural and
@@ -117,8 +165,8 @@ final class TransAeLike(nEnt: Int, nRel: Int, dim: Int, entImage: Array[Array[Fl
     extends MultimodalBase(nEnt, nRel, dim, entImage, seed) {
   val name = "TransAE"
 
-  def score(h: Int, r: Int, t: Int): Double =
-    structScore(h, r, t) + visWeight * visScore(h, r, t)
+  protected def fuse(h: Int, r: Int, t: Int, struct: Double, vis: Double): Double =
+    struct + visWeight * vis
 
   def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double =
     expertUpdate(h, r, t, h2, t2, lr, margin)
@@ -136,18 +184,23 @@ final class RsmeLike(nEnt: Int, nRel: Int, dim: Int, entImage: Array[Array[Float
 
   private def gate(r: Int): Double = sigmoid(gateParam(r))
 
-  def score(h: Int, r: Int, t: Int): Double =
-    structScore(h, r, t) + gate(r) * visScore(h, r, t)
+  protected def fuse(h: Int, r: Int, t: Int, struct: Double, vis: Double): Double =
+    struct + gate(r) * vis
 
+  /** Each expert scores the positive and the negative once; the gate step
+    * changes no expert parameter, so the expert step reuses the scores.
+    */
   def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double = {
+    val s = structScore(h, r, t); val s2 = structScore(h2, r, t2)
+    val v = visScore(h, r, t); val v2 = visScore(h2, r, t2)
     // Gate gradient on the combined-score margin (the filter-gate learning).
-    val lossC = margin - score(h, r, t) + score(h2, r, t2)
+    val lossC = margin - fuse(h, r, t, s, v) + fuse(h2, r, t2, s2, v2)
     if (lossC > 0 && hasImage(h)) {
       val g = gate(r)
-      val dg = -visScore(h, r, t) + visScore(h2, r, t2)
+      val dg = -v + v2
       gateParam(r) -= (0.01 * lr * dg * g * (1 - g)).toFloat
     }
-    expertUpdate(h, r, t, h2, t2, lr, margin)
+    expertUpdate(h, r, t, h2, t2, lr, margin, s, s2, v, v2)
   }
 }
 
@@ -163,26 +216,25 @@ final class MkgformerLike(nEnt: Int, nRel: Int, dim: Int,
                           val textWeight: Double = 0.5, seed: Long = 12L)
     extends MultimodalBase(nEnt, nRel, dim, entImage, seed) {
   val name = "MKGformer"
-  private val f = entText(0).length
   /** Per-relation text-overlap kernel weights (trained). */
-  val kernel: Array[Array[Float]] = Array.fill(nRel)(Array.fill(f)(0.5f))
+  val kernel: Array[Array[Float]] = Array.fill(nRel)(Array.fill(entText(0).length)(0.5f))
+  /** Nonzero text positions per entity; the kernels run over the head's,
+    * with the sums and weights of the dense loops (`VecOps.nonzeros`).
+    */
+  private val textNz: Array[Array[Int]] = entText.map(nonzeros)
 
-  private def textScore(r: Int, h: Int, t: Int): Double = {
-    val w = kernel(r); val a = entText(h); val b = entText(t)
-    var s = 0.0; var i = 0
-    while (i < f) { s += w(i) * a(i) * b(i); i += 1 }
-    s
-  }
+  private def textScore(r: Int, h: Int, t: Int): Double =
+    sparseKernel(kernel(r), entText(h), entText(t), textNz(h))
 
   private def pushKernel(r: Int, h: Int, t: Int, dir: Float, lr: Double): Unit = {
-    val w = kernel(r); val a = entText(h); val b = entText(t)
+    val w = kernel(r); val a = entText(h); val b = entText(t); val nz = textNz(h)
     val step = (lr * dir).toFloat
-    var i = 0
-    while (i < f) { w(i) += step * a(i) * b(i); i += 1 }
+    var k = 0
+    while (k < nz.length) { val i = nz(k); w(i) += step * a(i) * b(i); k += 1 }
   }
 
-  def score(h: Int, r: Int, t: Int): Double =
-    structScore(h, r, t) + visWeight * visScore(h, r, t) + textWeight * textScore(r, h, t)
+  protected def fuse(h: Int, r: Int, t: Int, struct: Double, vis: Double): Double =
+    struct + visWeight * vis + textWeight * textScore(r, h, t)
 
   def update(h: Int, r: Int, t: Int, h2: Int, t2: Int, lr: Double, margin: Double): Double = {
     val lt = margin - textWeight * (textScore(r, h, t) - textScore(r, h2, t2))

@@ -38,23 +38,29 @@ abstract class TextKgeBase(val nEnt: Int, val nRel: Int,
     */
   protected val kernelScale: Double = 4.0
 
-  protected def kernelScore(r: Int, h: Int, t: Int): Double = {
-    val w = kernel(r); val a = entText(h); val b = entText(t)
-    var s = 0.0; var i = 0
-    while (i < f) { s += w(i) * a(i) * b(i); i += 1 }
-    kernelScale * s
-  }
+  /** Nonzero feature positions per entity; the kernels run over the
+    * head's, with the sums and weights of dense loops over all `f`
+    * positions (`VecOps.nonzeros`).
+    */
+  private val textNz: Array[Array[Int]] = entText.map(nonzeros)
 
+  protected def kernelScore(r: Int, h: Int, t: Int): Double =
+    kernelScale * sparseKernel(kernel(r), entText(h), entText(t), textNz(h))
+
+  /** Where a_i = 0 the dense step would add ±0 to a weight already in
+    * [0, 3], so only the head's nonzero positions move.
+    */
   protected def pushKernel(r: Int, h: Int, t: Int, dir: Float, lr: Double): Unit = {
-    val w = kernel(r); val a = entText(h); val b = entText(t)
+    val w = kernel(r); val a = entText(h); val b = entText(t); val nz = textNz(h)
     val step = (lr * dir * kernelScale).toFloat
-    var i = 0
-    while (i < f) {
+    var k = 0
+    while (k < nz.length) {
+      val i = nz(k)
       var x = w(i) + step * a(i) * b(i)
       // Clip: unbounded attention weights amplify hash collisions.
       if (x > 3f) x = 3f else if (x < 0f) x = 0f
       w(i) = x
-      i += 1
+      k += 1
     }
   }
 

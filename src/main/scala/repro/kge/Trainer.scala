@@ -10,17 +10,52 @@ final case class TrainConfig(
     hardNegFrac: Double = 0.25,
     tailCorruptFrac: Double = 0.5)
 
+/** `java.util.Random`'s 48-bit linear congruential generator without its
+  * atomic seed: the same seed scrambling, the same `nextInt(bound)`
+  * (power-of-two shortcut and rejection loop) and the same `nextDouble`,
+  * so it draws what `new java.util.Random(seed)` draws, call for call.
+  * Not thread-safe; one training run owns one.
+  */
+final class Lcg48(seed: Long) {
+  private var state = (seed ^ 0x5DEECE66DL) & ((1L << 48) - 1)
+
+  private def next(bits: Int): Int = {
+    state = (state * 0x5DEECE66DL + 0xBL) & ((1L << 48) - 1)
+    (state >>> (48 - bits)).toInt
+  }
+
+  def nextInt(bound: Int): Int = {
+    require(bound > 0, "bound must be positive")
+    var r = next(31)
+    val m = bound - 1
+    if ((bound & m) == 0) ((bound * r.toLong) >> 31).toInt
+    else {
+      var u = r
+      r = u % bound
+      while (u - r + m < 0) { u = next(31); r = u % bound }
+      r
+    }
+  }
+
+  /** Dividing by 2⁵³ is exact, as is the JDK's `* 0x1.0p-53`. */
+  def nextDouble(): Double = ((next(26).toLong << 27) + next(27)) / (1L << 53).toDouble
+}
+
 /** SGD with negative sampling: each positive is paired with `negPerPos`
   * corruptions, each of the tail with probability `tailCorruptFrac` and
   * of the head otherwise (the link-prediction roster corrupts tails
   * only). Deterministic in the seed; runs on the driver — model state is
   * a few MB, the data arrays come pre-packed from Spark (KgeData).
+  *
+  * Shuffles and negatives are drawn from one `Lcg48` seeded with
+  * `cfg.seed`: the draws of `new java.util.Random(cfg.seed)`, in the same
+  * order, without the compare-and-set `java.util.Random` pays per draw.
   */
 object Trainer {
 
   def train(model: KgeModel, data: KgeDataset, cfg: TrainConfig): KgeModel = {
     val n = data.nTrain
-    val rnd = new java.util.Random(cfg.seed)
+    val rnd = new Lcg48(cfg.seed)
     val order = Array.tabulate(n)(identity)
 
     // Per-relation head/tail pools for type-constrained ("hard") negatives:

@@ -72,6 +72,25 @@ final class TransH(val nEnt: Int, val nRel: Int, val dim: Int, seed: Long = 2L)
     -s
   }
 
+  /** All tails at once: the head side (h − (w·h)w) + d is the same double
+    * for every tail, so each entry equals `score(h, r, t)` bit for bit.
+    */
+  override def scoreTails(h: Int, r: Int): Array[Double] = {
+    val eh = ent(h); val wr = w(r); val dr = d(r)
+    val wh = dot(wr, eh)
+    val q = new Array[Double](dim)
+    var i = 0; while (i < dim) { q(i) = (eh(i) - wh * wr(i)) + dr(i); i += 1 }
+    val out = new Array[Double](nEnt)
+    var t = 0
+    while (t < nEnt) {
+      val et = ent(t); val wt = dot(wr, et)
+      var s = 0.0; i = 0
+      while (i < dim) { s += math.abs((q(i) - (et(i) - wt * wr(i))).toFloat); i += 1 }
+      out(t) = -s; t += 1
+    }
+    out
+  }
+
   private def push(h: Int, r: Int, t: Int, dir: Float, lr: Double): Unit = {
     val eh = ent(h); val et = ent(t); val wr = w(r); val dr = d(r)
     val df = diff(h, r, t)
@@ -130,11 +149,38 @@ final class TransD(val nEnt: Int, val nRel: Int, val dim: Int, seed: Long = 3L)
     out
   }
 
+  /** −‖(h + (h_p·h)r_p) + r − (t + (t_p·t)r_p)‖₁, each coordinate rounded
+    * to a float.
+    */
   def score(h: Int, r: Int, t: Int): Double = {
-    val df = diff(h, r, t)
+    val eh = ent(h); val et = ent(t); val er = rel(r); val rp = relP(r)
+    val ph = dot(entP(h), eh); val pt = dot(entP(t), et)
     var s = 0.0; var i = 0
-    while (i < dim) { s += math.abs(df(i)); i += 1 }
+    while (i < dim) {
+      s += math.abs(((eh(i) + ph * rp(i)) + er(i) - (et(i) + pt * rp(i))).toFloat)
+      i += 1
+    }
     -s
+  }
+
+  /** All tails at once: the head side (h + (h_p·h)r_p) + r is the same
+    * double for every tail, so each entry equals `score(h, r, t)` bit for
+    * bit.
+    */
+  override def scoreTails(h: Int, r: Int): Array[Double] = {
+    val eh = ent(h); val er = rel(r); val rp = relP(r)
+    val ph = dot(entP(h), eh)
+    val q = new Array[Double](dim)
+    var i = 0; while (i < dim) { q(i) = (eh(i) + ph * rp(i)) + er(i); i += 1 }
+    val out = new Array[Double](nEnt)
+    var t = 0
+    while (t < nEnt) {
+      val et = ent(t); val pt = dot(entP(t), et)
+      var s = 0.0; i = 0
+      while (i < dim) { s += math.abs((q(i) - (et(i) + pt * rp(i))).toFloat); i += 1 }
+      out(t) = -s; t += 1
+    }
+    out
   }
 
   private def push(h: Int, r: Int, t: Int, dir: Float, lr: Double): Unit = {

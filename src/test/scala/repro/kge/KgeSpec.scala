@@ -244,6 +244,108 @@ class KgeSpec extends SparkSpec {
     assert(math.abs(m.mrr - (1.0 + 0.5 + 0.2 + 1.0 / 11) / 4) < 1e-9)
   }
 
+  /** The roster models whose update kernels read and write the rows of
+    * h, t, h2 and t2 in place, on the toy graph with images and text.
+    */
+  def kernelModels(d: KgeDataset): Seq[KgeModel] = Seq(
+    new TuckER(d.nEnt, d.nRel, 12),
+    new TransH(d.nEnt, d.nRel, 16),
+    new TransD(d.nEnt, d.nRel, 16),
+    new KgBertLike(d.nEnt, d.nRel, d.entText),
+    new StarLike(d.nEnt, d.nRel, 16, d.entText),
+    new TransAeLike(d.nEnt, d.nRel, 16, d.entImage),
+    new RsmeLike(d.nEnt, d.nRel, 16, d.entImage),
+    new MkgformerLike(d.nEnt, d.nRel, 16, d.entImage, d.entText))
+
+  /** Every trained parameter table of a model, in a fixed order. */
+  def paramTables(m: KgeModel): Seq[Array[Array[Float]]] = m match {
+    case x: TuckER => Seq(x.ent, x.core)
+    case x: TransH => Seq(x.ent, x.d, x.w)
+    case x: TransD => Seq(x.ent, x.entP, x.rel, x.relP)
+    case x: StarLike => Seq(x.kernel, Array(x.bias), x.relBias, x.ent, x.relS)
+    case x: TextKgeBase => Seq(x.kernel, Array(x.bias), x.relBias)
+    case x: RsmeLike => Seq(x.ent, x.rel, x.relV, x.visTail, Array(x.gateParam))
+    case x: MkgformerLike => Seq(x.ent, x.rel, x.relV, x.visTail, x.kernel)
+    case x: MultimodalBase => Seq(x.ent, x.rel, x.relV, x.visTail)
+  }
+
+  def tableChecksum(rows: Array[Array[Float]]): Long =
+    rows.foldLeft(17L)((acc, row) =>
+      row.foldLeft(acc)((a, x) => a * 31 + java.lang.Float.floatToIntBits(x)))
+
+  /** Checksums of each parameter table after updates whose rows alias:
+    * h == t (a self-loop positive), t2 == h (a tail corruption drawn as
+    * the head) and h2 == t == t2. Recorded before the kernels were
+    * rewritten to use scratch buffers and sparse text positions; any
+    * change to the order of an update's float operations, or to what it
+    * reads after writing an aliased row, moves them.
+    */
+  val pinnedAliasChecksums: Map[String, Seq[Long]] = Map(
+    "TuckER" -> Seq(1211351033051139498L, -5239355357015119302L),
+    "TransH" -> Seq(-6485958111590974083L, 3949522460347542115L, 3036767978123369642L),
+    "TransD" -> Seq(6096450855802402863L, -2655020935038709611L, 3419149142154560199L,
+      -6742334949489289474L),
+    "KG-BERT" -> Seq(6183203171800153796L, -4072030462506963149L, -3200975183988341143L),
+    "StAR" -> Seq(6183203171800153796L, -4072030462506963149L, -3200975183988341143L,
+      -6208671520354310218L, 2100903990597745620L),
+    "TransAE" -> Seq(-6208671520354310218L, 2100903990597745620L, 1704746373276339588L,
+      -3980479391694880900L),
+    "RSME" -> Seq(-6461641500446988986L, 762130883829016808L, -1627062786275659612L,
+      -1811799052251966571L, -35084423831L),
+    "MKGformer" -> Seq(-7888778423567021039L, -1088581614194418186L, 4791132684475274285L,
+      -8304761264816120250L, -7145590498355493793L))
+
+  test("updates with aliased rows keep their pinned parameter checksums") {
+    val steps = Seq((3, 0, 3, 3, 41), (5, 1, 44, 5, 5), (7, 0, 42, 42, 42), (40, 1, 40, 40, 45))
+    val got = kernelModels(toyImg).map { m =>
+      (0 until 3).foreach { k =>
+        steps.foreach { case (h, r, t, h2, t2) => m.update(h, r, t, h2, t2, 0.05 + 0.01 * k, 10.0) }
+      }
+      m.name -> paramTables(m).map(tableChecksum)
+    }.toMap
+    assert(got === pinnedAliasChecksums)
+  }
+
+  test("batched scoreTails equals score bit for bit") {
+    val bits = java.lang.Double.doubleToLongBits _
+    // TuckER's batched sum runs in another order (checked above to 1e-4).
+    val models = kernelModels(toyImg).filterNot(_.isInstanceOf[TuckER]) ++
+      Seq(new TransE(toyImg.nEnt, toyImg.nRel, 16), new DistMult(toyImg.nEnt, toyImg.nRel, 16))
+    models.foreach { m =>
+      Trainer.train(m, toyImg, cfg.copy(epochs = 3))
+      for (h <- Seq(0, 3, 17, 40, 45); r <- 0 until toyImg.nRel) {
+        val all = m.scoreTails(h, r)
+        (0 until toyImg.nEnt).foreach { t =>
+          // Text models never propose the head itself.
+          if (!(m.isInstanceOf[TextKgeBase] && t == h))
+            assert(bits(all(t)) === bits(m.score(h, r, t)), s"${m.name} ($h, $r, $t)")
+        }
+      }
+    }
+  }
+
+  test("Lcg48 draws what java.util.Random draws") {
+    val seeds = Seq(0L, 1L, 17L, 20L, -1L, -123456789L, Long.MinValue, Long.MaxValue)
+    val bounds = Seq(1, 3, 16, 46, 1 << 30, (1 << 30) + 1, Int.MaxValue)
+    for (seed <- seeds; bound <- bounds) {
+      val a = new Lcg48(seed); val b = new java.util.Random(seed)
+      (0 until 2000).foreach(i => assert(a.nextInt(bound) === b.nextInt(bound), s"seed $seed bound $bound draw $i"))
+    }
+    // The Trainer's interleaving: a shuffle, then per negative two
+    // doubles and one or two bounded ints.
+    for (seed <- seeds) {
+      val a = new Lcg48(seed); val b = new java.util.Random(seed)
+      (1 until 500).foreach { i =>
+        assert(a.nextInt(i + 1) === b.nextInt(i + 1))
+        val (da, db) = (a.nextDouble(), b.nextDouble())
+        assert(java.lang.Double.doubleToLongBits(da) === java.lang.Double.doubleToLongBits(db))
+        assert(a.nextDouble() === b.nextDouble())
+        assert(a.nextInt(i % 7 + 1) === b.nextInt(i % 7 + 1))
+        if (i % 3 == 0) assert(a.nextInt(Int.MaxValue - i) === b.nextInt(Int.MaxValue - i))
+      }
+    }
+  }
+
   test("training is deterministic in the seed") {
     val a = new TransE(toy.nEnt, toy.nRel, 8, seed = 42L)
     val b = new TransE(toy.nEnt, toy.nRel, 8, seed = 42L)
