@@ -1,8 +1,5 @@
 package repro.exp
 
-import java.util.concurrent.{Callable, ExecutionException, ExecutorCompletionService, Executors, ThreadFactory}
-import java.util.concurrent.atomic.AtomicInteger
-
 import org.apache.spark.sql.SparkSession
 import repro.kge._
 
@@ -70,17 +67,17 @@ object LinkPred {
   /** On -L the paper omits the baselines that do not fit one V100. */
   val models500L: Seq[String] = Seq("TransE", "TransH", "TransD", "DistMult", "ComplEx")
 
-  /** Train and rank every named model, one model per task on a pool of
-    * `min(names.size, cores)` daemon threads, and return the runs in
-    * roster order. The models and their configs are built first, on the
-    * calling thread (an unknown name fails before any training), and are
-    * submitted longest first (`longestFirst`), so the longest model does
-    * not start last. Each model trains and ranks on its pool thread; the
-    * pool is the only parallelism (ranking starts no Spark job). Models
-    * share only the read-only dataset and each is deterministic in its own
-    * seed, so the metrics equal a sequential run. The first model to fail
-    * cancels the models not yet started, and its exception is rethrown
-    * as is.
+  /** Train and rank every named model, one model per task on a
+    * `Roster` pool of `min(names.size, cores)` daemon threads, and return
+    * the runs in roster order. The models and their configs are built
+    * first, on the calling thread (an unknown name fails before any
+    * training), and are submitted longest first (`longestFirst`), so the
+    * longest model does not start last. Each model trains and ranks on
+    * its pool thread; the pool is the only parallelism (ranking starts no
+    * Spark job). Models share only the read-only dataset and each is
+    * deterministic in its own seed, so the metrics equal a sequential
+    * run. The first model to fail cancels the others, and its exception
+    * is rethrown as is.
     */
   def run(spark: SparkSession, data: KgeDataset, names: Seq[String],
           epochScale: Double = 1.0): Seq[ModelRun] = {
@@ -88,28 +85,11 @@ object LinkPred {
       s"(train ${data.nTrain}, dev ${data.devH.length}, test ${data.testH.length})")
     val built = names.map { n =>
       val (model, cfg) = makeModel(n, data)
-      (model, cfg.copy(epochs = math.max(1, (cfg.epochs * epochScale).toInt)))
+      (n, model, cfg.copy(epochs = math.max(1, (cfg.epochs * epochScale).toInt)))
     }
-    val pool = Executors.newFixedThreadPool(
-      math.min(names.size, Runtime.getRuntime.availableProcessors),
-      daemonThreads(s"LinkPred-${data.name}"))
-    val runs = try {
-      val done = new ExecutorCompletionService[ModelRun](pool)
-      val tasks = longestFirst(built.map(_._2)).map { i =>
-        val (model, cfg) = built(i)
-        i -> done.submit(new Callable[ModelRun] {
-          def call(): ModelRun = trainAndRank(spark, data, names(i), model, cfg)
-        })
-      }.sortBy(_._1).map(_._2)
-      // Wait in completion order, so the first failure surfaces at once.
-      try names.foreach(_ => done.take().get())
-      catch {
-        case e: ExecutionException =>
-          tasks.foreach(_.cancel(true))
-          throw e.getCause
-      }
-      tasks.map(_.get())
-    } finally pool.shutdown()
+    val runs = Roster.run(s"LinkPred-${data.name}",
+      built.map { case (n, model, cfg) => () => trainAndRank(spark, data, n, model, cfg) },
+      longestFirst(built.map(_._3)))
     runs.foreach(r => Console.err.println(
       f"[LinkPred] ${data.name}%-14s ${r.metrics.row(r.model)}  (${r.trainSeconds}%.1fs)"))
     runs
@@ -128,14 +108,5 @@ object LinkPred {
     Trainer.train(model, data, cfg)
     val secs = (System.nanoTime() - t0) / 1e9
     ModelRun(name, Evaluator.evaluate(spark, model, data), secs)
-  }
-
-  private def daemonThreads(prefix: String): ThreadFactory = {
-    val count = new AtomicInteger()
-    r => {
-      val t = new Thread(r, s"$prefix-${count.incrementAndGet()}")
-      t.setDaemon(true)
-      t
-    }
   }
 }

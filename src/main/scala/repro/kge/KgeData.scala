@@ -21,8 +21,8 @@ import repro.core.Kg
   *                  one row per entity (the stand-in text encoder)
   * @param entImage  image feature row per entity or null (single-modal
   *                  entities / non-product entities)
-  * @param truth     (h * nRel + r) → sorted array of ALL known tails
-  *                  across train+dev+test — the filtered-eval protocol
+  * @param truth     ALL known tails of each (h, r) across
+  *                  train+dev+test — the filtered-eval protocol
   */
 final case class KgeDataset(
     name: String,
@@ -33,17 +33,61 @@ final case class KgeDataset(
     testH: Array[Int], testR: Array[Int], testT: Array[Int],
     entText: Array[Array[Float]],
     entImage: Array[Array[Float]],
-    truth: java.util.HashMap[Long, Array[Int]]) {
+    truth: KnownTails) {
 
   def nEnt: Int = entIds.length
   def nRel: Int = relIds.length
   def nTrain: Int = trainH.length
 
-  def truthKey(h: Int, r: Int): Long = h.toLong * nRel + r
+  def knownTails(h: Int, r: Int): Array[Int] = truth(h, r)
+}
 
-  def knownTails(h: Int, r: Int): Array[Int] = {
-    val a = truth.get(truthKey(h, r))
-    if (a == null) Array.emptyIntArray else a
+/** Filtered-eval truth sets keyed by primitive ints: per relation, the
+  * heads that have a known tail in ascending order, and per such head its
+  * known tails, sorted. A lookup is a binary search and allocates nothing.
+  */
+final class KnownTails private (heads: Array[Array[Int]], tails: Array[Array[Array[Int]]]) {
+
+  /** The sorted known tails of (h, r); empty if there are none. */
+  def apply(h: Int, r: Int): Array[Int] = {
+    val i = java.util.Arrays.binarySearch(heads(r), h)
+    if (i < 0) Array.emptyIntArray else tails(r)(i)
+  }
+}
+
+object KnownTails {
+
+  /** Truth sets of the (h, r, t) triples of every split, duplicates kept. */
+  def apply(nRel: Int, splits: Seq[(Array[Int], Array[Int], Array[Int])]): KnownTails = {
+    // (h, t) packed into one long per relation: sorting orders by head,
+    // then tail (both are non-negative).
+    val pairs = Array.fill(nRel)(new scala.collection.mutable.ArrayBuilder.ofLong)
+    splits.foreach { case (h, r, t) =>
+      var i = 0
+      while (i < h.length) { pairs(r(i)).addOne((h(i).toLong << 32) | t(i)); i += 1 }
+    }
+    val heads = new Array[Array[Int]](nRel)
+    val tails = new Array[Array[Array[Int]]](nRel)
+    var r = 0
+    while (r < nRel) {
+      val ht = pairs(r).result()
+      java.util.Arrays.sort(ht)
+      val hs = new scala.collection.mutable.ArrayBuilder.ofInt
+      val ts = scala.collection.mutable.ArrayBuilder.make[Array[Int]]
+      var i = 0
+      while (i < ht.length) {
+        val h = (ht(i) >>> 32).toInt
+        var j = i
+        while (j < ht.length && (ht(j) >>> 32).toInt == h) j += 1
+        hs.addOne(h)
+        ts += java.util.Arrays.copyOfRange(ht, i, j).map(_.toInt)
+        i = j
+      }
+      heads(r) = hs.result()
+      tails(r) = ts.result()
+      r += 1
+    }
+    new KnownTails(heads, tails)
   }
 }
 
@@ -114,21 +158,8 @@ object KgeData {
     }
 
     // Filtered-eval truth sets over all splits.
-    val nRel = relIds.length
-    val tmp = new java.util.HashMap[Long, scala.collection.mutable.ArrayBuffer[Int]]()
-    def add(h: Array[Int], r: Array[Int], t: Array[Int]): Unit = {
-      var i = 0
-      while (i < h.length) {
-        val k = h(i).toLong * nRel + r(i)
-        var b = tmp.get(k)
-        if (b == null) { b = scala.collection.mutable.ArrayBuffer[Int](); tmp.put(k, b) }
-        b += t(i)
-        i += 1
-      }
-    }
-    add(trH, trR, trT); add(dvH, dvR, dvT); add(teH, teR, teT)
-    val truth = new java.util.HashMap[Long, Array[Int]](tmp.size())
-    tmp.forEach((k, b) => truth.put(k, b.toArray.sorted))
+    val truth = KnownTails(relIds.length,
+      Seq((trH, trR, trT), (dvH, dvR, dvT), (teH, teR, teT)))
 
     KgeDataset(bench.name, entIds, relIds, trH, trR, trT, dvH, dvR, dvT,
       teH, teR, teT, entText, entImage, truth)

@@ -56,23 +56,24 @@ object Trainer {
   def train(model: KgeModel, data: KgeDataset, cfg: TrainConfig): KgeModel = {
     val n = data.nTrain
     val rnd = new Lcg48(cfg.seed)
-    val order = Array.tabulate(n)(identity)
+    val order = Array.range(0, n)
 
     // Per-relation head/tail pools for type-constrained ("hard") negatives:
     // half the corruptions come from entities observed in the same slot of
     // the same relation, so the model must discriminate within a type, not
     // just across types. The rest stay uniform (keeps types separated).
     val nRel = data.nRel
-    val tailPool = Array.fill(nRel)(scala.collection.mutable.ArrayBuffer[Int]())
-    val headPool = Array.fill(nRel)(scala.collection.mutable.ArrayBuffer[Int]())
+    val tailPool = Array.fill(nRel)(new scala.collection.mutable.ArrayBuilder.ofInt)
+    val headPool = Array.fill(nRel)(new scala.collection.mutable.ArrayBuilder.ofInt)
+    // `addOne`, not `+=`: the generic `+=` boxes every Int.
     var p = 0
     while (p < n) {
-      tailPool(data.trainR(p)) += data.trainT(p)
-      headPool(data.trainR(p)) += data.trainH(p)
+      tailPool(data.trainR(p)).addOne(data.trainT(p))
+      headPool(data.trainR(p)).addOne(data.trainH(p))
       p += 1
     }
-    val tails = tailPool.map(_.toArray)
-    val heads = headPool.map(_.toArray)
+    val tails = tailPool.map(_.result())
+    val heads = headPool.map(_.result())
 
     var epoch = 0
     while (epoch < cfg.epochs) {

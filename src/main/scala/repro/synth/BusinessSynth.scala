@@ -41,6 +41,18 @@ object BusinessSynth {
     spark.range(world.cfg.nProducts).map(i => world.product(i))
   }
 
+  /** The rows `products` collects, in index order, generated on the
+    * calling thread without a Spark job. `World.product` only reads the
+    * world and draws from the product's own RNG, so any thread may call
+    * this.
+    */
+  def productRecords(world: World): IndexedSeq[ProductRecord] =
+    (0 until world.cfg.nProducts).map(i => world.product(i))
+
+  /** The rows `reviews` collects, in order, generated on the calling thread. */
+  def reviewRecords(world: World): IndexedSeq[ReviewRecord] =
+    productRecords(world).flatMap(p => world.reviews(p))
+
   /** Noisy raw product rows — the pipeline's main input. */
   def rawProducts(spark: SparkSession, world: World): Dataset[RawProduct] = {
     import spark.implicits._

@@ -45,7 +45,7 @@ object TaskData {
 
   def categoryExamples(spark: SparkSession, world: World, kg: Kg): Seq[CatExample] = {
     val kgTok = kgTokensByProduct(spark, kg)
-    val products = BusinessSynth.products(spark, world).collect()
+    val products = BusinessSynth.productRecords(world)
     val l2Label: Map[String, String] = {
       val anc = world.categoryLeaves.map { leaf =>
         var n = leaf
@@ -54,7 +54,7 @@ object TaskData {
       }
       anc.toMap
     }
-    products.toSeq.map { p =>
+    products.map { p =>
       val catTokens = world.categoryById(p.leafId).label.split(" ").toSet
       val coarse = l2Label(p.leafId).split(" ").toSeq
       val r = new java.util.Random(Vocab.mix(world.cfg.seed * 91L + p.idx))
@@ -82,7 +82,7 @@ object TaskData {
   final case class NerExample(itemId: String, tokens: Seq[String], tags: Seq[String])
 
   def nerExamples(spark: SparkSession, world: World, maxN: Int = 2000): Seq[NerExample] = {
-    BusinessSynth.products(spark, world).collect().toSeq
+    BusinessSynth.productRecords(world)
       .sortBy(p => Vocab.mix(p.idx * 7L + 5L)).take(maxN)
       .map(p => NerExample(p.id, p.titleTokens, p.titleTags))
   }
@@ -124,7 +124,7 @@ object TaskData {
                                gold: Seq[String])
 
   def summarizationExamples(spark: SparkSession, world: World): Seq[SummExample] = {
-    BusinessSynth.products(spark, world).collect().toSeq.map { p =>
+    BusinessSynth.productRecords(world).map { p =>
       val want = scala.collection.mutable.Map[String, Int]().withDefaultValue(0)
       p.shortTitle.foreach(t => want(t) += 1)
       val keep = p.titleTokens.map { t =>
@@ -140,7 +140,7 @@ object TaskData {
                              gold: Set[(String, String, String)])
 
   def ieExamples(spark: SparkSession, world: World, maxN: Int = 4000): Seq[IeExample] = {
-    BusinessSynth.reviews(spark, world).collect().toSeq
+    BusinessSynth.reviewRecords(world)
       .sortBy(r => Vocab.mix(r.reviewId.hashCode.toLong)).take(maxN)
       .map(r => IeExample(r.reviewId, r.text, r.goldTriples.toSet))
   }

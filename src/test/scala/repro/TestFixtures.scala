@@ -22,7 +22,6 @@ object TestFixtures {
   def checkpointRdds(df: DataFrame): Set[Int] =
     df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.id }.toSet
 
-  /** Ground-truth products, collected once. */
-  lazy val gtProducts: Seq[ProductRecord] =
-    BusinessSynth.products(SparkSpec.shared, world).collect().toSeq
+  /** Ground-truth products, generated once without a Spark job. */
+  lazy val gtProducts: Seq[ProductRecord] = BusinessSynth.productRecords(world)
 }

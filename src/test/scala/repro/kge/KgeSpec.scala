@@ -38,12 +38,9 @@ object ToyData {
           v
         } else null
       }
-    val truth = new java.util.HashMap[Long, Array[Int]]()
-    (train ++ dev ++ test).groupBy(x => (x._1, x._2)).foreach { case ((h, r), xs) =>
-      truth.put(h.toLong * relIds.length + r, xs.map(_._3).distinct.sorted.toArray)
-    }
     KgeDataset("toy", entIds, relIds, trH, trR, trT, dvH, dvR, dvT, teH, teR, teT,
-      entText, entImage, truth)
+      entText, entImage, KnownTails(relIds.length, Seq((trH, trR, trT), (dvH, dvR, dvT),
+        (teH, teR, teT))))
   }
 }
 

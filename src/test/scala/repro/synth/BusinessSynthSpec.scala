@@ -15,6 +15,20 @@ class BusinessSynthSpec extends SparkSpec {
     assert(a.map(_.brandId).toSeq === b.map(_.brandId).toSeq)
   }
 
+  test("products and reviews generated without Spark equal the collected rows, field by field") {
+    val collected = BusinessSynth.products(spark, world).collect().toSeq
+    val generated = BusinessSynth.productRecords(world)
+    assert(generated.length === collected.length)
+    generated.zip(collected).foreach { case (g, c) =>
+      // Case-class equality compares arrays by reference.
+      assert(g.copy(imageVec = null) === c.copy(imageVec = null), g.id)
+      assert(g.imageVec.sameElements(c.imageVec), g.id)
+    }
+    val reviews = BusinessSynth.reviews(spark, world).collect().toSeq
+    assert(reviews.length === cfg.nProducts * cfg.reviewsPerProduct)
+    assert(BusinessSynth.reviewRecords(world) === reviews)
+  }
+
   test("raw products keep the platform category annotation") {
     val raw = BusinessSynth.rawProducts(spark, world)
     val leafIds = world.categoryLeaves.map(_.id).toSet

@@ -1,5 +1,6 @@
 package repro.tasks
 
+import org.apache.spark.JobCounter
 import repro.{SparkSpec, TestFixtures}
 import PretrainedSim._
 
@@ -49,6 +50,14 @@ class TasksSpec extends SparkSpec {
     val p = TestFixtures.gtProducts.head
     val (attrName, value) = p.attrs.head
     assert(gaz.getOrElse(value, Nil).contains(attrName), s"$value -> $attrName")
+  }
+
+  test("NER, summarization and review-IE examples start no Spark job") {
+    val (_, jobs) = JobCounter.count(spark.sparkContext) {
+      (TaskData.nerExamples(spark, world), TaskData.summarizationExamples(spark, world),
+        TaskData.ieExamples(spark, world))
+    }
+    assert(jobs === 0)
   }
 
   test("summarization gold keep mask reconstructs the short title") {
