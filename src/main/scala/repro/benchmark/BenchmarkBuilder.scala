@@ -1,8 +1,9 @@
 package repro.benchmark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.IntegerType
 import repro.core.{Kg, Schema}
 
 /** Parameters of one OpenBG benchmark extraction (paper III-A).
@@ -80,14 +81,16 @@ object BenchmarkBuilder {
 
   /** Stage 1 — relation refinement: the N highest-frequency relations
     * (the paper's manual "high-frequency, closely business-related"
-    * selection; frequency is the automatable proxy).
+    * selection; frequency is the automatable proxy). The N rows are ranked
+    * on the driver and returned as a local DataFrame.
     * @return (r, freq, relRank)
     */
   def refineRelations(triples: DataFrame, n: Int): DataFrame = {
-    val w = Window.orderBy(desc("freq"), asc("r"))
-    triples.groupBy("r").agg(count(lit(1)) as "freq")
-      .withColumn("relRank", row_number.over(w) - 1)
-      .filter(col("relRank") < n)
+    val freq = triples.groupBy("r").agg(count(lit(1)) as "freq")
+    val top = freq.orderBy(desc("freq"), asc("r")).limit(n).collect()
+      .zipWithIndex.map { case (row, rank) => Row(row.get(0), row.getLong(1), rank) }
+    triples.sparkSession.createDataFrame(top.toSeq.asJava,
+      freq.schema.add("relRank", IntegerType, nullable = false))
   }
 
   /** Stage 2 — head-entity filtering (Eq. 1): entities attached to
@@ -115,51 +118,43 @@ object BenchmarkBuilder {
     triples
       .join(rels.select("r"), Seq("r"))
       .join(heads, Seq("h"))
-      .filter(keep(concat_ws("", col("h"), col("r"), col("t")),
+      .filter(keep(concat_ws("\u0001", col("h"), col("r"), col("t")),
         cfg.alphaTriples, cfg.seed + 2))
       .select("h", "r", "t")
 
   /** Leakage-free split: at most one held-out triple per head, only from
     * heads with degree ≥ 3 (so every dev/test head keeps ≥ 2 training
-    * triples), and only where the tail is also covered by train.
+    * triples), and only where the tail is also covered by train. The
+    * hold-out (at most nDev + nTest rows) is collected and cut into dev
+    * and test on the driver; dev and test are local DataFrames, train is
+    * the one checkpoint.
     */
   def split(spark: SparkSession, triples: DataFrame, cfg: BenchConfig):
       (DataFrame, DataFrame, DataFrame) = {
-    val withU = triples.withColumn("u",
-      pmod(xxhash64(concat_ws("", col("h"), col("r"), col("t")), lit(cfg.seed + 3)),
-        lit(1000000007L)))
-    val deg = triples.groupBy("h").agg(count(lit(1)) as "deg")
-    // Ties on u are broken by the triple itself, so the held-out set does
-    // not depend on the shuffle layout.
-    val perHead = Window.partitionBy(col("h")).orderBy(col("u"), col("r"), col("t"))
-    val cands = withU.join(deg, Seq("h"))
+    val u = pmod(xxhash64(concat_ws("\u0001", col("h"), col("r"), col("t")), lit(cfg.seed + 3)),
+      lit(1000000007L))
+    // Each head's candidate is its least (u, r, t): ties on u are broken by
+    // the triple itself, so the held-out set does not depend on the shuffle
+    // layout. Heads are unique, so (u, h) orders the candidates totally.
+    val holdout = triples.groupBy("h")
+      .agg(count(lit(1)) as "deg", min(struct(u as "u", col("r"), col("t"))) as "c")
       .filter(col("deg") >= 3)
-      .withColumn("rk", row_number.over(perHead))
-      .filter(col("rk") === 1)
-      .orderBy(col("u"), col("h"), col("r"), col("t"))
+      .orderBy(col("c.u"), col("h"))
       .limit(cfg.nDev + cfg.nTest)
-      .cache()
+      .select(col("h"), col("c.r") as "r", col("c.t") as "t")
+      .collect().toSeq
+    val schema = triples.select("h", "r", "t").schema
+    def local(rows: Seq[Row]) = spark.createDataFrame(rows.asJava, schema)
+    val held = local(holdout)
 
-    val global = Window.orderBy(col("u"), col("h"))
-    val ranked = cands.withColumn("grk", row_number.over(global))
-    val devRaw = ranked.filter(col("grk") <= cfg.nDev).select("h", "r", "t")
-    val testRaw = ranked.filter(col("grk") > cfg.nDev).select("h", "r", "t")
-
-    val holdout = devRaw.unionByName(testRaw)
-    val train = triples.join(holdout, Seq("h", "r", "t"), "left_anti").cache()
+    val train = triples.join(held, Seq("h", "r", "t"), "left_anti").localCheckpoint()
 
     // Coverage: every dev/test tail must appear in train (as head or tail).
-    val trainEnts = train.select(col("h") as "e")
-      .union(train.select(col("t") as "e")).distinct().cache()
-    val dev = devRaw.join(trainEnts.withColumnRenamed("e", "t"), Seq("t"), "left_semi")
-      .select("h", "r", "t")
-    val test = testRaw.join(trainEnts.withColumnRenamed("e", "t"), Seq("t"), "left_semi")
-      .select("h", "r", "t")
-    // Materialize the splits (eager local checkpoints), then release the
-    // caches they were computed from.
-    val out = (train.localCheckpoint(), dev.localCheckpoint(), test.localCheckpoint())
-    Seq(cands, train, trainEnts).foreach(_.unpersist())
-    out
+    val trainEnts = train.select(col("h") as "t").union(train.select("t"))
+    val covered = held.join(trainEnts, Seq("t"), "left_semi")
+      .select("h", "r", "t").collect().toSet
+    val (devRaw, testRaw) = holdout.splitAt(cfg.nDev)
+    (train, local(devRaw.filter(covered)), local(testRaw.filter(covered)))
   }
 
   /** Full extraction pipeline. */
@@ -171,7 +166,7 @@ object BenchmarkBuilder {
       base0.join(mm, Seq("h"), "left_semi")
     } else base0
 
-    val rels = refineRelations(base, cfg.nRelations).localCheckpoint()
+    val rels = refineRelations(base, cfg.nRelations)
     val heads = filterHeadEntities(base, rels, cfg)
     // Materialize the sampled triple set: everything downstream (split,
     // vocabularies, training) reads it repeatedly.

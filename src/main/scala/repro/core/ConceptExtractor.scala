@@ -20,7 +20,9 @@ object ConceptExtractor {
   /** A single extracted mention. */
   final case class Mention(productId: String, ctype: String, conceptId: String)
 
-  /** Lexicon-driven tagger, built on the driver and broadcast. */
+  /** Lexicon-driven tagger, built on the driver and captured by the
+    * Spark closure that tags the corpus.
+    */
   final class Tagger(lexicon: Seq[(String, String, String)]) extends Serializable {
     // lexicon rows: (conceptId, label, ctype)
     private val trie = new TokenTrie
@@ -94,10 +96,10 @@ object ConceptExtractor {
     import spark.implicits._
     val lex = lexicon.select("conceptId", "label", "ctype").as[(String, String, String)]
       .collect().toSeq
-    val tagger = spark.sparkContext.broadcast(new Tagger(lex))
+    val tagger = new Tagger(lex)
     corpus.select("productId", "text").as[(String, String)]
       .flatMap { case (pid, text) =>
-        tagger.value.tag(text).map { case (cid, ct) => (pid, ct, cid) }
+        tagger.tag(text).map { case (cid, ct) => (pid, ct, cid) }
       }
       .toDF("productId", "ctype", "conceptId")
       .groupBy("productId", "ctype", "conceptId")
@@ -113,9 +115,8 @@ object ConceptExtractor {
     import spark.implicits._
     val marketByLabel = lexicon.filter(col("ctype") === "market")
       .select("label", "conceptId").as[(String, String)].collect().toMap
-    val bc = spark.sparkContext.broadcast(marketByLabel)
     rawProducts.select("pid", "marketTexts").as[(String, Seq[String])]
-      .flatMap { case (pid, ms) => ms.flatMap(m => bc.value.get(m)).distinct.map(c => (pid, c)) }
+      .flatMap { case (pid, ms) => ms.flatMap(m => marketByLabel.get(m)).distinct.map(c => (pid, c)) }
       .toDF("productId", "conceptId")
   }
 }

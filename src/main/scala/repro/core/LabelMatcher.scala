@@ -131,9 +131,9 @@ object LabelMatcher {
     val entries = brandCatalog.select("id", "label", "aliases").collect().map { r =>
       (r.getString(0), r.getString(1) +: r.getSeq[String](2))
     }.toSeq
-    val matcher = spark.sparkContext.broadcast(new Matcher(entries))
+    val matcher = new Matcher(entries)
     rawProducts.select("pid", "brandText").as[(String, String)].flatMap { case (pid, txt) =>
-      matcher.value.matchText(txt).map { case (id, m) => (pid, id, m) }
+      matcher.matchText(txt).map { case (id, m) => (pid, id, m) }
     }.toDF("pid", "brandId", "method")
   }
 
@@ -150,10 +150,10 @@ object LabelMatcher {
       .map(r => (r.getString(0), r.getString(1), r.getInt(2)))
       .sortBy { case (id, _, lvl) => (-lvl, id) }
       .map { case (id, label, _) => (id, Seq(label)) }.toSeq
-    val matcher = spark.sparkContext.broadcast(new Matcher(entries))
+    val matcher = new Matcher(entries)
     rawProducts.select("pid", "placeText").as[(String, String)].flatMap { case (pid, txt) =>
       val stripped = tokens(txt).filterNot(_ == "shi").mkString(" ")
-      matcher.value.matchText(stripped).map { case (id, m) => (pid, id, m) }
+      matcher.matchText(stripped).map { case (id, m) => (pid, id, m) }
     }.toDF("pid", "placeId", "method")
   }
 }

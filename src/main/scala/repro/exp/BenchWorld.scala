@@ -1,21 +1,11 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.benchmark.BenchConfig
-import repro.core.{Kg, KgBuilder, RawSources}
-import repro.synth.{SynthConfig, World}
 
-/** Bench-scale world and KG, and the configs of the three OpenBG
-  * benchmark extractions (our scaled OpenBG-IMG / OpenBG500 / OpenBG500-L).
+/** The configs of the three OpenBG benchmark extractions (our scaled
+  * OpenBG-IMG / OpenBG500 / OpenBG500-L).
   */
 object BenchWorld {
-
-  /** Construct the full KG at a given scale. */
-  def buildKg(spark: SparkSession, cfg: SynthConfig = SynthConfig.bench): (World, Kg) = {
-    val world = new World(cfg)
-    val sources = RawSources.fromWorld(spark, world)
-    (world, KgBuilder.build(spark, sources))
-  }
 
   /** OpenBG-IMG analog: multimodal heads only, fewer relations. */
   val imgConfig: BenchConfig = BenchConfig(

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.benchmark.{Benchmark, BenchmarkBuilder}
-import repro.core.Kg
+import repro.core.{Kg, KgBuilder, RawSources}
 import repro.kge.{KgeData, KgeDataset}
 import repro.synth.{SynthConfig, World}
 
@@ -35,7 +35,10 @@ object Experiments {
 
   object Inputs {
     def apply(spark: SparkSession, cfg: SynthConfig): Inputs =
-      new Inputs(spark, BenchWorld.buildKg(spark, cfg))
+      new Inputs(spark, {
+        val world = new World(cfg)
+        (world, KgBuilder.build(spark, RawSources.fromWorld(spark, world)))
+      })
   }
 
   val tableI: Table[String] = Table("tableI", in => Tables.tableI(in.spark, in.kg), identity)

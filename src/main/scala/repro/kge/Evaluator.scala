@@ -46,10 +46,15 @@ object Evaluator {
   /** Metrics of the model on the dataset's test split, ranked in test
     * order. Starts no Spark job (`spark` is unused).
     */
-  def evaluate(spark: SparkSession, model: KgeModel, data: KgeDataset): Metrics =
-    fromRanks(Array.tabulate(data.testH.length) { i =>
-      rankOf(model, data, data.testH(i), data.testR(i), data.testT(i))
-    })
+  def evaluate(spark: SparkSession, model: KgeModel, data: KgeDataset): Metrics = {
+    val ranks = new Array[Int](data.testH.length)
+    var i = 0
+    while (i < ranks.length) {
+      ranks(i) = rankOf(model, data, data.testH(i), data.testR(i), data.testT(i))
+      i += 1
+    }
+    fromRanks(ranks)
+  }
 
   def fromRanks(ranks: Array[Int]): Metrics = {
     val n = ranks.length.toLong

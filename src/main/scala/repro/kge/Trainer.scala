@@ -97,14 +97,14 @@ object Trainer {
             var t2 = if (hard && pool.length > 1) pool(rnd.nextInt(pool.length))
                      else rnd.nextInt(data.nEnt)
             if (t2 == t) t2 = rnd.nextInt(data.nEnt)
-            if (t2 != t) model.update(h, r, t, h, t2, cfg.lr, cfg.margin)
+            if (t2 != t) { model.update(h, r, t, h, t2, cfg.lr, cfg.margin); () }
           } else {
             // corrupt head
             val pool = heads(r)
             var h2 = if (hard && pool.length > 1) pool(rnd.nextInt(pool.length))
                      else rnd.nextInt(data.nEnt)
             if (h2 == h) h2 = rnd.nextInt(data.nEnt)
-            if (h2 != h) model.update(h, r, t, h2, t, cfg.lr, cfg.margin)
+            if (h2 != h) { model.update(h, r, t, h2, t, cfg.lr, cfg.margin); () }
           }
           neg += 1
         }

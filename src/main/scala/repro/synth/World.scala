@@ -68,8 +68,8 @@ final case class ReviewRecord(
 
 /** The deterministic synthetic business world: every catalog the raw
   * sources and gold labels are derived from. Built once on the driver
-  * (it is small — O(10^3..10^4) rows) and broadcast into Spark maps for
-  * product/review generation. Fully determined by `cfg`.
+  * (it is small — O(10^3..10^4) rows) and captured by the closures of the
+  * Spark maps that generate products and reviews. Fully determined by `cfg`.
   */
 final class World(val cfg: SynthConfig) extends Serializable {
   import Vocab._
